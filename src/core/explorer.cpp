@@ -1,5 +1,6 @@
 #include "core/explorer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -146,9 +147,15 @@ ExplorationResult Explorer::explore(const EncoderOptions& eopts,
     // hands back a lazily-infeasible seed.
     LazySeparation(*tmpl_, ep).install(main_opts);
   }
+  // time_limit_s bounds the whole call: the probe may not run past what
+  // encode left of it, and the main solve gets only what remains after both.
+  const auto remaining_s = [&] { return std::max(0.0, sopts.time_limit_s - clock.seconds()); };
   if (main_opts.mip_start.empty()) {
-    main_opts.mip_start = fixed_routing_start(ep, main_opts);
+    milp::SolveOptions probe_opts = main_opts;
+    probe_opts.exec.deadline = sopts.exec.deadline.tightened(remaining_s());
+    main_opts.mip_start = fixed_routing_start(ep, probe_opts);
   }
+  main_opts.time_limit_s = remaining_s();
   const milp::MipResult res = milp::solve(ep.model, main_opts);
   out.status = res.status;
   out.solve_stats = res.stats;

@@ -13,18 +13,25 @@ namespace wnet::milp::simplex {
 DualSimplex::DualSimplex(const StandardLp& lp, LpOptions opts) : lp_(&lp), opts_(opts) {}
 
 void DualSimplex::reset_costs() {
-  cost_ = lp_->c();
-  perturbed_ = false;
-  if (!opts_.perturb) return;
-  // Deterministic jitter, large against dual_tol but invisible in the
-  // objective (the exact costs are restored before termination).
-  std::mt19937 rng(0x5eedu);
-  std::uniform_real_distribution<double> u(0.5, 1.5);
-  for (double& c : cost_) {
-    const double eps = 1e-6 * (1.0 + std::abs(c)) * u(rng);
-    c += (rng() & 1) != 0u ? eps : -eps;
+  perturbed_ = opts_.perturb;
+  if (!perturbed_) {
+    cost_ = lp_->c();
+    return;
   }
-  perturbed_ = true;
+  // StandardLp costs change only through add_row, which appends a column,
+  // so the jittered vector is rebuilt only when the column count moves.
+  if (perturbed_costs_.size() != lp_->c().size()) {
+    // Deterministic jitter, large against dual_tol but invisible in the
+    // objective (the exact costs are restored before termination).
+    perturbed_costs_ = lp_->c();
+    std::mt19937 rng(0x5eedu);
+    std::uniform_real_distribution<double> u(0.5, 1.5);
+    for (double& c : perturbed_costs_) {
+      const double eps = 1e-6 * (1.0 + std::abs(c)) * u(rng);
+      c += (rng() & 1) != 0u ? eps : -eps;
+    }
+  }
+  cost_ = perturbed_costs_;
 }
 
 double DualSimplex::violation(int j, double v) const {

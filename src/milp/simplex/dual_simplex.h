@@ -117,7 +117,8 @@ class DualSimplex {
   /// negative below lb, 0 if inside).
   [[nodiscard]] double violation(int j, double v) const;
 
-  /// Installs the (possibly perturbed) working costs.
+  /// Installs the (possibly perturbed) working costs. The jittered vector
+  /// is cached and rebuilt only when the LP's column count changes.
   void reset_costs();
 
   const StandardLp* lp_;
@@ -130,6 +131,7 @@ class DualSimplex {
   std::vector<double> dj_;      ///< reduced costs, per column
   std::vector<char> in_basis_;  ///< fast basic-membership flag
   std::vector<double> cost_;    ///< working costs (perturbed while active)
+  std::vector<double> perturbed_costs_;  ///< jittered costs, built once per column count
   bool perturbed_ = false;      ///< true while cost_ != exact costs
   SolveInfo info_;              ///< start mode of the most recent solve
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 
 #include "util/simd/simd.h"
@@ -47,38 +46,64 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
   work_.assign(static_cast<size_t>(m_), 0.0);
   work2_.assign(static_cast<size_t>(m_), 0.0);
 
-  // Column pre-ordering by nonzero count (cheap fill reduction).
+  // Column pre-ordering by nonzero count (cheap fill reduction). Counts are
+  // read once; ties keep basis-position order.
+  col_nnz_.resize(static_cast<size_t>(m_));
+  for (int k = 0; k < m_; ++k) {
+    col_nnz_[static_cast<size_t>(k)] = a.column(basis_cols[static_cast<size_t>(k)]).size();
+  }
   std::iota(q_.begin(), q_.end(), 0);
   std::sort(q_.begin(), q_.end(), [&](int x, int y) {
-    const size_t nx = a.column(basis_cols[static_cast<size_t>(x)]).size();
-    const size_t ny = a.column(basis_cols[static_cast<size_t>(y)]).size();
+    const size_t nx = col_nnz_[static_cast<size_t>(x)];
+    const size_t ny = col_nnz_[static_cast<size_t>(y)];
     if (nx != ny) return nx < ny;
     return x < y;
   });
 
   std::vector<double>& x = work_;
-  // Min-heap of pivot steps whose rows currently hold nonzeros; drives the
-  // left-looking elimination in topological (step) order so the work is
-  // proportional to actual fill, not O(m) per column.
-  std::priority_queue<int, std::vector<int>, std::greater<>> steps;
-  std::vector<char> queued(static_cast<size_t>(m_), 0);
+  // heap_ is a min-heap of pivot steps whose rows currently hold nonzeros;
+  // it drives the left-looking elimination in topological (step) order.
+  // pattern_ collects the not-yet-pivoted rows the column touches, so the
+  // pivot search and L extraction below visit only those rows: the cost
+  // of a column is proportional to its fill, not O(m).
+  heap_.clear();
+  queued_.assign(static_cast<size_t>(m_), 0);
+  in_pattern_.assign(static_cast<size_t>(m_), 0);
+  const auto reach = [&](int row) {
+    const int t = pinv_[static_cast<size_t>(row)];
+    if (t < 0) {
+      if (!in_pattern_[static_cast<size_t>(row)]) {
+        in_pattern_[static_cast<size_t>(row)] = 1;
+        pattern_.push_back(row);
+      }
+    } else if (!queued_[static_cast<size_t>(t)]) {
+      queued_[static_cast<size_t>(t)] = 1;
+      heap_.push_back(t);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    }
+  };
+  // Zeroes the pattern rows of the scratch column and resets their markers.
+  const auto clear_pattern = [&] {
+    for (const int i : pattern_) {
+      x[static_cast<size_t>(i)] = 0.0;
+      in_pattern_[static_cast<size_t>(i)] = 0;
+    }
+  };
 
   for (int k = 0; k < m_; ++k) {
-    // Scatter the k-th factored column and enqueue already-pivoted rows.
+    pattern_.clear();
+    // Scatter the k-th factored column.
     for (const Entry& e :
          a.column(basis_cols[static_cast<size_t>(q_[static_cast<size_t>(k)])])) {
       x[static_cast<size_t>(e.row)] = e.value;
-      const int t = pinv_[static_cast<size_t>(e.row)];
-      if (t >= 0 && !queued[static_cast<size_t>(t)]) {
-        queued[static_cast<size_t>(t)] = 1;
-        steps.push(t);
-      }
+      reach(e.row);
     }
 
-    while (!steps.empty()) {
-      const int t = steps.top();
-      steps.pop();
-      queued[static_cast<size_t>(t)] = 0;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const int t = heap_.back();
+      heap_.pop_back();
+      queued_[static_cast<size_t>(t)] = 0;
       const int prow = p_[static_cast<size_t>(t)];
       const double xv = x[static_cast<size_t>(prow)];
       x[static_cast<size_t>(prow)] = 0.0;  // consumed into U
@@ -86,29 +111,26 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
       u_rows_.push_back(t);
       u_vals_.push_back(xv);
       // Eliminate with L column t: x -= xv * L_t (kernel scatter — row
-      // indices within a column are distinct), then enqueue newly reached
-      // pivoted rows. Splitting the original fused loop is exact: the
-      // enqueue tests depend only on pinv_/queued, never on x values, and
-      // the heap pops in step order regardless of push order.
+      // indices within a column are distinct), then record the rows it
+      // reached. Splitting the original fused loop is exact: reach()
+      // depends only on pinv_ and the markers, never on x values, and the
+      // heap pops in step order regardless of push order.
       const int64_t s = l_start_[static_cast<size_t>(t)];
       const int len = static_cast<int>(l_start_[static_cast<size_t>(t) + 1] - s);
       kernels().scatter_axpy(l_rows_.data() + s, l_vals_.data() + s, len, -xv,
                              x.data());
-      for (int i = 0; i < len; ++i) {
-        const int ts = pinv_[static_cast<size_t>(l_rows_[static_cast<size_t>(s + i)])];
-        if (ts >= 0 && !queued[static_cast<size_t>(ts)]) {
-          queued[static_cast<size_t>(ts)] = 1;
-          steps.push(ts);
-        }
-      }
+      for (int i = 0; i < len; ++i) reach(l_rows_[static_cast<size_t>(s + i)]);
     }
     u_start_[static_cast<size_t>(k) + 1] = static_cast<int64_t>(u_rows_.size());
 
-    // Partial pivoting over not-yet-pivoted rows.
+    // Partial pivoting over the not-yet-pivoted rows the column reached.
+    // Every other such row holds an exact zero, and ascending row order
+    // keeps the first-maximum tie-break (and the L entry order) of a full
+    // 0..m sweep.
+    std::sort(pattern_.begin(), pattern_.end());
     int pivot_row = -1;
     double best = 0.0;
-    for (int i = 0; i < m_; ++i) {
-      if (pinv_[static_cast<size_t>(i)] >= 0) continue;
+    for (const int i : pattern_) {
       const double v = std::abs(x[static_cast<size_t>(i)]);
       if (v > best) {
         best = v;
@@ -116,8 +138,7 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
       }
     }
     if (pivot_row < 0 || best < singular_tol) {
-      // Clean scratch before reporting singularity.
-      for (int i = 0; i < m_; ++i) x[static_cast<size_t>(i)] = 0.0;
+      clear_pattern();  // scratch stays all-zero between calls
       return false;
     }
 
@@ -127,15 +148,16 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis_col
     u_diag_[static_cast<size_t>(k)] = pivot;
     x[static_cast<size_t>(pivot_row)] = 0.0;
 
-    for (int i = 0; i < m_; ++i) {
+    for (const int i : pattern_) {
       const double v = x[static_cast<size_t>(i)];
-      if (v == 0.0) continue;
-      x[static_cast<size_t>(i)] = 0.0;
-      if (pinv_[static_cast<size_t>(i)] >= 0) continue;  // stale zero-cancelled entry
+      if (v == 0.0) continue;  // cancelled, or the pivot row itself
       l_rows_.push_back(i);
       l_vals_.push_back(v / pivot);
     }
+    clear_pattern();
     l_start_[static_cast<size_t>(k) + 1] = static_cast<int64_t>(l_rows_.size());
+    assert(std::all_of(x.begin(), x.end(), [](double v) { return v == 0.0; }) &&
+           "BasisLu::factorize: scratch column not clean after elimination");
   }
 
   // Step index of every L entry's row (all rows end up pivoted), so the

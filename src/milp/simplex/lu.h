@@ -21,11 +21,17 @@ namespace wnet::milp::simplex {
 /// capacity slack is needed). The split arrays feed the util/simd
 /// gather/scatter kernels; all solves are bit-identical across dispatch
 /// levels (see util/simd/simd.h for the lane-order contract).
+///
+/// The cost of factorize() scales with the L/U fill, not with m^2: each
+/// column's elimination, pivot search and L extraction visit only the steps
+/// and rows that column actually reaches (plus O(m) set-up per call).
 class BasisLu {
  public:
   /// Factorizes B = A[:, basis_cols]. Columns are pre-ordered by increasing
-  /// nonzero count to curb fill-in. Returns false if the basis is singular
-  /// (pivot below `singular_tol`).
+  /// nonzero count to curb fill-in; ties keep basis-position order. The
+  /// pivot of each column is the first row, in ascending row order, of
+  /// largest magnitude. Returns false if the basis is singular (pivot below
+  /// `singular_tol`); the object may then be factorized again.
   bool factorize(const SparseMatrix& a, const std::vector<int>& basis_cols,
                  double singular_tol = 1e-10);
 
@@ -62,6 +68,10 @@ class BasisLu {
   }
 
  private:
+  /// Test-only access to the factors (the dense-sweep reference
+  /// factorization in the LU differential test writes them directly).
+  friend struct BasisLuTestPeer;
+
   struct Eta {
     int pos;        ///< replaced basis position
     double pivot;   ///< w[pos]
@@ -93,11 +103,14 @@ class BasisLu {
   std::vector<int32_t> eta_rows_;  ///< basis-position space
   std::vector<double> eta_vals_;
 
-  mutable std::vector<double> work_;   ///< dense scratch, size m
+  mutable std::vector<double> work_;   ///< dense scratch, size m, all zero between calls
   mutable std::vector<double> work2_;  ///< dense scratch, size m
-  mutable std::vector<int> heap_;      ///< pending-step min-heap (ftran_unit)
-  mutable std::vector<int> touched_;   ///< steps reached by the forward pass
-  mutable std::vector<char> queued_;   ///< step already in heap_, size m
+  mutable std::vector<int> heap_;      ///< pending-step min-heap (factorize, ftran_unit)
+  mutable std::vector<int> touched_;   ///< steps reached by the ftran_unit forward pass
+  mutable std::vector<char> queued_;   ///< step already in heap_, size m, all zero between calls
+  std::vector<size_t> col_nnz_;        ///< factorize: nonzeros per basis position
+  std::vector<int> pattern_;           ///< factorize: unpivoted rows the column reached
+  std::vector<char> in_pattern_;       ///< factorize: row already in pattern_, size m
 };
 
 }  // namespace wnet::milp::simplex

@@ -4,6 +4,7 @@
 
 #include "channel/propagation.h"
 #include "core/solution.h"
+#include "core/workloads/scenarios.h"
 
 namespace wnet::archex {
 namespace {
@@ -148,6 +149,27 @@ TEST_F(ExplorerScenario, DsodObjectiveSelectsServingAnchors) {
   EXPECT_GT(res.architecture.dsod, 0.0);
   const auto rep = verify_architecture(res.architecture, anchors, loc_spec);
   EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? "" : rep.violations[0]);
+}
+
+TEST(ExplorerTimeLimit, BoundsTheWholeCall) {
+  // A 40-sensor data-collection design over a 12x10 relay grid does not
+  // certify within a second, and its warm-start probe alone takes most of
+  // that second. The limit must bound encode, probe and main solve
+  // together: the main solve gets only what the other two left.
+  workloads::DataCollectionConfig cfg;
+  cfg.sensors = 40;
+  cfg.relay_grid_x = 12;
+  cfg.relay_grid_y = 10;
+  cfg.seed = 2;
+  const auto sc = workloads::make_data_collection(cfg);
+  const Explorer ex(*sc->tmpl, sc->spec);
+  EncoderOptions eo;
+  eo.k_star = 10;
+  milp::SolveOptions so;
+  so.time_limit_s = 1.0;
+  const auto res = ex.explore(eo, so);
+  EXPECT_NE(res.status, milp::SolveStatus::kOptimal);
+  EXPECT_LE(res.total_time_s, so.time_limit_s + 0.5);
 }
 
 }  // namespace

@@ -2,12 +2,148 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "milp/simplex/sparse.h"
+#include "util/simd/simd.h"
 
 namespace wnet::milp::simplex {
+
+/// Reference factorization: the dense-sweep left-looking LU that
+/// BasisLu::factorize replaced. Every column runs its partial-pivot search
+/// and its L extraction over all m rows, and the column pre-order reads
+/// the column lengths inside the comparator. It writes the same factor
+/// storage, so the production solves can run on its output and be compared
+/// bit for bit against the pattern-tracked factorization.
+struct BasisLuTestPeer {
+  static bool reference_factorize(BasisLu& lu, const SparseMatrix& a,
+                                  const std::vector<int>& basis_cols,
+                                  double singular_tol = 1e-10) {
+    const int m = static_cast<int>(basis_cols.size());
+    lu.m_ = m;
+    lu.l_rows_.clear();
+    lu.l_vals_.clear();
+    lu.l_steps_.clear();
+    lu.l_start_.assign(static_cast<size_t>(m) + 1, 0);
+    lu.u_rows_.clear();
+    lu.u_vals_.clear();
+    lu.u_start_.assign(static_cast<size_t>(m) + 1, 0);
+    lu.u_diag_.assign(static_cast<size_t>(m), 0.0);
+    lu.p_.assign(static_cast<size_t>(m), -1);
+    lu.pinv_.assign(static_cast<size_t>(m), -1);
+    lu.q_.resize(static_cast<size_t>(m));
+    lu.etas_.clear();
+    lu.eta_rows_.clear();
+    lu.eta_vals_.clear();
+    lu.work_.assign(static_cast<size_t>(m), 0.0);
+    lu.work2_.assign(static_cast<size_t>(m), 0.0);
+
+    std::iota(lu.q_.begin(), lu.q_.end(), 0);
+    std::sort(lu.q_.begin(), lu.q_.end(), [&](int x, int y) {
+      const size_t nx = a.column(basis_cols[static_cast<size_t>(x)]).size();
+      const size_t ny = a.column(basis_cols[static_cast<size_t>(y)]).size();
+      if (nx != ny) return nx < ny;
+      return x < y;
+    });
+
+    std::vector<double>& x = lu.work_;
+    std::priority_queue<int, std::vector<int>, std::greater<>> steps;
+    std::vector<char> queued(static_cast<size_t>(m), 0);
+    for (int k = 0; k < m; ++k) {
+      for (const Entry& e :
+           a.column(basis_cols[static_cast<size_t>(lu.q_[static_cast<size_t>(k)])])) {
+        x[static_cast<size_t>(e.row)] = e.value;
+        const int t = lu.pinv_[static_cast<size_t>(e.row)];
+        if (t >= 0 && !queued[static_cast<size_t>(t)]) {
+          queued[static_cast<size_t>(t)] = 1;
+          steps.push(t);
+        }
+      }
+      while (!steps.empty()) {
+        const int t = steps.top();
+        steps.pop();
+        queued[static_cast<size_t>(t)] = 0;
+        const int prow = lu.p_[static_cast<size_t>(t)];
+        const double xv = x[static_cast<size_t>(prow)];
+        x[static_cast<size_t>(prow)] = 0.0;
+        if (xv == 0.0) continue;
+        lu.u_rows_.push_back(t);
+        lu.u_vals_.push_back(xv);
+        const int64_t s = lu.l_start_[static_cast<size_t>(t)];
+        const int len = static_cast<int>(lu.l_start_[static_cast<size_t>(t) + 1] - s);
+        util::simd::kernels().scatter_axpy(lu.l_rows_.data() + s, lu.l_vals_.data() + s, len,
+                                           -xv, x.data());
+        for (int i = 0; i < len; ++i) {
+          const int ts = lu.pinv_[static_cast<size_t>(lu.l_rows_[static_cast<size_t>(s + i)])];
+          if (ts >= 0 && !queued[static_cast<size_t>(ts)]) {
+            queued[static_cast<size_t>(ts)] = 1;
+            steps.push(ts);
+          }
+        }
+      }
+      lu.u_start_[static_cast<size_t>(k) + 1] = static_cast<int64_t>(lu.u_rows_.size());
+
+      int pivot_row = -1;
+      double best = 0.0;
+      for (int i = 0; i < m; ++i) {
+        if (lu.pinv_[static_cast<size_t>(i)] >= 0) continue;
+        const double v = std::abs(x[static_cast<size_t>(i)]);
+        if (v > best) {
+          best = v;
+          pivot_row = i;
+        }
+      }
+      if (pivot_row < 0 || best < singular_tol) {
+        for (int i = 0; i < m; ++i) x[static_cast<size_t>(i)] = 0.0;
+        return false;
+      }
+      const double pivot = x[static_cast<size_t>(pivot_row)];
+      lu.p_[static_cast<size_t>(k)] = pivot_row;
+      lu.pinv_[static_cast<size_t>(pivot_row)] = k;
+      lu.u_diag_[static_cast<size_t>(k)] = pivot;
+      x[static_cast<size_t>(pivot_row)] = 0.0;
+      for (int i = 0; i < m; ++i) {
+        const double v = x[static_cast<size_t>(i)];
+        if (v == 0.0) continue;
+        x[static_cast<size_t>(i)] = 0.0;
+        if (lu.pinv_[static_cast<size_t>(i)] >= 0) continue;
+        lu.l_rows_.push_back(i);
+        lu.l_vals_.push_back(v / pivot);
+      }
+      lu.l_start_[static_cast<size_t>(k) + 1] = static_cast<int64_t>(lu.l_rows_.size());
+    }
+    lu.l_steps_.resize(lu.l_rows_.size());
+    for (size_t i = 0; i < lu.l_rows_.size(); ++i) {
+      lu.l_steps_[i] = lu.pinv_[static_cast<size_t>(lu.l_rows_[i])];
+    }
+    return true;
+  }
+
+  /// Row permutation of the factorization: p[step] = original row.
+  static const std::vector<int>& row_order(const BasisLu& lu) { return lu.p_; }
+
+  /// True if both objects hold the same factors, bit for bit.
+  static bool same_factors(const BasisLu& x, const BasisLu& y) {
+    const auto bits = [](const std::vector<double>& a, const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+    };
+    return x.m_ == y.m_ && x.l_rows_ == y.l_rows_ && bits(x.l_vals_, y.l_vals_) &&
+           x.l_steps_ == y.l_steps_ && x.l_start_ == y.l_start_ && x.u_rows_ == y.u_rows_ &&
+           bits(x.u_vals_, y.u_vals_) && x.u_start_ == y.u_start_ &&
+           bits(x.u_diag_, y.u_diag_) && x.p_ == y.p_ && x.pinv_ == y.pinv_ && x.q_ == y.q_;
+  }
+};
+
 namespace {
 
 /// Builds a sparse matrix from dense data (rows x cols).
@@ -228,6 +364,212 @@ TEST(BasisLu, FtranUnitMatchesDenseFtranBitwise) {
       }
     }
   }
+}
+
+// --- Pattern-tracked factorize vs the dense-sweep reference ----------------
+
+void expect_bitwise(const std::vector<double>& got, const std::vector<double>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint64_t g = 0;
+    uint64_t w = 0;
+    std::memcpy(&g, &got[i], sizeof g);
+    std::memcpy(&w, &want[i], sizeof w);
+    EXPECT_EQ(g, w) << what << " entry " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// ftran, btran and ftran_unit of `x` and `y` agree bit for bit on seeded
+/// right-hand sides (some entries exactly zero), and so does fill().
+void expect_same_solves(const BasisLu& x, const BasisLu& y, std::mt19937& rng,
+                        const std::string& what) {
+  EXPECT_EQ(x.fill(), y.fill()) << what;
+  const int m = x.dim();
+  ASSERT_EQ(m, y.dim()) << what;
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<double> rhs(static_cast<size_t>(m));
+    for (double& v : rhs) v = rng() % 3 == 0 ? 0.0 : u(rng);
+    std::vector<double> fx = rhs;
+    std::vector<double> fy = rhs;
+    x.ftran(fx);
+    y.ftran(fy);
+    expect_bitwise(fx, fy, what + " ftran");
+    std::vector<double> bx = rhs;
+    std::vector<double> by = rhs;
+    x.btran(bx);
+    y.btran(by);
+    expect_bitwise(bx, by, what + " btran");
+  }
+  for (int row = 0; row < m; ++row) {
+    const double value = u(rng);
+    std::vector<double> ux(static_cast<size_t>(m), 0.0);
+    std::vector<double> uy(static_cast<size_t>(m), 0.0);
+    x.ftran_unit(ux, row, value);
+    y.ftran_unit(uy, row, value);
+    expect_bitwise(ux, uy, what + " ftran_unit row " + std::to_string(row));
+  }
+}
+
+/// Factorizes `basis` with BasisLu::factorize and with the reference and
+/// expects the same verdict, the same factors and the same solves. Returns
+/// whether the basis was nonsingular.
+bool expect_matches_reference(const SparseMatrix& a, const std::vector<int>& basis,
+                              std::mt19937& rng, const std::string& what) {
+  BasisLu lu;
+  BasisLu ref;
+  const bool ok = lu.factorize(a, basis);
+  EXPECT_EQ(ok, BasisLuTestPeer::reference_factorize(ref, a, basis)) << what;
+  if (!ok) return false;
+  EXPECT_TRUE(BasisLuTestPeer::same_factors(lu, ref)) << what;
+  expect_same_solves(lu, ref, rng, what);
+  return true;
+}
+
+/// A random sparse m x (m + extra) matrix [S | I] whose nonzeros are drawn
+/// from `values`: small sets of equal magnitudes and powers of two make
+/// eliminations cancel to exact zeros and pivot candidates tie.
+SparseMatrix random_wide_matrix(int m, int extra, const std::vector<double>& values,
+                                std::mt19937& rng) {
+  std::vector<std::vector<double>> d(static_cast<size_t>(m),
+                                     std::vector<double>(static_cast<size_t>(m + extra), 0.0));
+  for (int j = 0; j < extra; ++j) {
+    const int nnz = 1 + static_cast<int>(rng() % 5u);
+    for (int k = 0; k < nnz; ++k) {
+      const int i = static_cast<int>(rng() % static_cast<unsigned>(m));
+      d[static_cast<size_t>(i)][static_cast<size_t>(j)] = values[rng() % values.size()];
+    }
+  }
+  for (int i = 0; i < m; ++i) d[static_cast<size_t>(i)][static_cast<size_t>(extra + i)] = 1.0;
+  return from_dense(d);
+}
+
+TEST(BasisLuReference, RandomSparseSubsetBasesMatchBitwise) {
+  // Bases are m columns of a wider matrix in shuffled order, as the dual
+  // simplex hands them over: structurals mixed with slacks.
+  const std::vector<std::vector<double>> value_sets{
+      {-3.0, -1.25, 0.7, 2.0, 5.5},       // generic magnitudes
+      {-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0},  // dyadic: exact cancellations
+      {-1.0, 1.0},                        // unit: every pivot search ties
+  };
+  std::mt19937 rng(2024);
+  int nonsingular = 0;
+  int trials = 0;
+  for (const auto& values : value_sets) {
+    for (int t = 0; t < 60; ++t) {
+      const int m = 3 + static_cast<int>(rng() % 30u);
+      const int extra = m + static_cast<int>(rng() % static_cast<unsigned>(m));
+      const SparseMatrix a = random_wide_matrix(m, extra, values, rng);
+      // Up to m structurals (as many as fit on every other draw, so the
+      // elimination fills in), each claiming one of its rows no earlier
+      // pick claimed; slacks fill the unclaimed rows. The basis has a
+      // nonzero transversal, so only numerical cancellation makes it
+      // singular.
+      std::vector<int> structurals(static_cast<size_t>(extra));
+      std::iota(structurals.begin(), structurals.end(), 0);
+      std::shuffle(structurals.begin(), structurals.end(), rng);
+      const size_t k = t % 2 == 0 ? static_cast<size_t>(m) : rng() % static_cast<unsigned>(m + 1);
+      std::vector<char> claimed(static_cast<size_t>(m), 0);
+      std::vector<int> basis;
+      for (const int j : structurals) {
+        if (basis.size() == k) break;
+        for (const Entry& e : a.column(j)) {
+          if (claimed[static_cast<size_t>(e.row)]) continue;
+          claimed[static_cast<size_t>(e.row)] = 1;
+          basis.push_back(j);
+          break;
+        }
+      }
+      for (int i = 0; i < m; ++i) {
+        if (!claimed[static_cast<size_t>(i)]) basis.push_back(extra + i);
+      }
+      std::shuffle(basis.begin(), basis.end(), rng);
+      ++trials;
+      if (expect_matches_reference(a, basis, rng, "trial " + std::to_string(trials))) {
+        ++nonsingular;
+      }
+    }
+  }
+  // Most draws must be nonsingular, or the comparison proves little.
+  EXPECT_GE(nonsingular, trials / 2);
+}
+
+TEST(BasisLuReference, ExactCancellationLeavesNoLEntry) {
+  // Factored in order c0, c1, c2. c0 pivots on row 1 with L = {row 0: 0.5};
+  // eliminating it from c1 leaves row 0 at 1 - 2 * 0.5 = exactly 0.0, so c1
+  // pivots on row 2 and its L column is empty.
+  const std::vector<std::vector<double>> dense{{2, 1, 1}, {4, 2, 1}, {0, 3, 1}};
+  const auto a = from_dense(dense);
+  std::mt19937 rng(5);
+  ASSERT_TRUE(expect_matches_reference(a, {0, 1, 2}, rng, "cancellation"));
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(a, {0, 1, 2}));
+  EXPECT_EQ(BasisLuTestPeer::row_order(lu), (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(lu.fill(), 4u);  // L: 1 entry, U: 3 strictly-upper entries
+  const std::vector<double> x_true{1.0, -2.0, 0.5};
+  std::vector<double> rhs = mat_vec(dense, x_true);
+  lu.ftran(rhs);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NEAR(rhs[static_cast<size_t>(i)], x_true[static_cast<size_t>(i)], 1e-12);
+  }
+}
+
+TEST(BasisLuReference, EqualMagnitudePivotTakesLowestRow) {
+  // c1 scatters row 3 first and reaches row 2 only through L column 0, both
+  // at magnitude 3: the pivot must be row 2, the first maximum in ascending
+  // row order, however the rows were reached.
+  const std::vector<std::vector<double>> dense{
+      {2, -3, 0, 1}, {0, 0, 1, 1}, {2, 0, 1, 1}, {0, 3, 1, 1}};
+  const auto a = from_dense(dense);
+  std::mt19937 rng(6);
+  ASSERT_TRUE(expect_matches_reference(a, {0, 1, 2, 3}, rng, "tie-break"));
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(a, {0, 1, 2, 3}));
+  EXPECT_EQ(BasisLuTestPeer::row_order(lu), (std::vector<int>{0, 2, 1, 3}));
+}
+
+TEST(BasisLuReference, SingularReturnLeavesCleanScratch) {
+  // The singular basis stops at its second column with a residue of ~1e-12
+  // still in the scratch column. Refactorizing the same object on a good
+  // basis must give exactly what a fresh object gives.
+  const std::vector<std::vector<double>> dense{
+      {1, 1, 0, 2}, {1, 1 + 1e-12, 0, 0}, {0, 0, 1, 1}};
+  const auto a = from_dense(dense);
+  std::mt19937 rng(7);
+  BasisLu reused;
+  BasisLu reference;
+  EXPECT_FALSE(reused.factorize(a, {0, 1, 2}));
+  EXPECT_FALSE(BasisLuTestPeer::reference_factorize(reference, a, {0, 1, 2}));
+  ASSERT_TRUE(reused.factorize(a, {0, 3, 2}));
+  BasisLu fresh;
+  ASSERT_TRUE(fresh.factorize(a, {0, 3, 2}));
+  EXPECT_TRUE(BasisLuTestPeer::same_factors(reused, fresh));
+  expect_same_solves(reused, fresh, rng, "after singular");
+
+  // The same on random bases: each singular draw is followed by a
+  // nonsingular refactorization of the same object.
+  std::mt19937 gen(11);
+  int singular = 0;
+  for (int t = 0; t < 80; ++t) {
+    const int m = 4 + static_cast<int>(gen() % 12u);
+    const SparseMatrix w = random_wide_matrix(m, 2 * m, {-2.0, -1.0, 1.0, 2.0}, gen);
+    std::vector<int> cols(static_cast<size_t>(3 * m));
+    std::iota(cols.begin(), cols.end(), 0);
+    std::shuffle(cols.begin(), cols.begin() + 2 * m, gen);  // structurals only
+    BasisLu lu;
+    if (lu.factorize(w, std::vector<int>(cols.begin(), cols.begin() + m))) continue;
+    ++singular;
+    std::vector<int> slack(static_cast<size_t>(m));
+    std::iota(slack.begin(), slack.end(), 2 * m);
+    std::swap(slack.front(), slack.back());
+    ASSERT_TRUE(lu.factorize(w, slack));
+    BasisLu again;
+    ASSERT_TRUE(again.factorize(w, slack));
+    EXPECT_TRUE(BasisLuTestPeer::same_factors(lu, again)) << "draw " << t;
+    expect_same_solves(lu, again, gen, "draw " + std::to_string(t));
+  }
+  EXPECT_GT(singular, 0);
 }
 
 }  // namespace

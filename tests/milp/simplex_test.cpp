@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "milp/model.h"
 #include "milp/simplex/standard_lp.h"
 
@@ -183,6 +186,102 @@ TEST(DualSimplex, MediumRandomLpMatchesActivityBounds) {
   // Check primal feasibility of the returned point.
   std::vector<double> xs(res.x.begin(), res.x.begin() + 12);
   EXPECT_TRUE(m.is_feasible(xs, 1e-6));
+}
+
+// --- Perturbed costs are built once per LP size ----------------------------
+
+/// A small LP with ties among the reduced costs, so the perturbation
+/// decides the pivots: min -x0 - x1 - x2 - x3 over two coupling rows.
+Model tied_lp() {
+  Model m;
+  LinExpr obj;
+  LinExpr row0;
+  LinExpr row1;
+  for (int j = 0; j < 4; ++j) {
+    const Var v = m.add_continuous("x" + std::to_string(j), 0.0, 3.0);
+    obj += -1.0 * LinExpr(v);
+    row0 += LinExpr(v);
+    if (j % 2 == 0) row1 += 2.0 * LinExpr(v);
+  }
+  m.add_le(std::move(row0), 5.0);
+  m.add_le(std::move(row1), 4.0);
+  m.minimize(obj);
+  return m;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_same_result(const LpResult& got, const LpResult& want, const char* what) {
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_TRUE(same_bits(got.x, want.x)) << what << ": x differs";
+  EXPECT_TRUE(same_bits(got.reduced_costs, want.reduced_costs))
+      << what << ": reduced costs differ";
+  EXPECT_TRUE(same_bits({got.objective}, {want.objective})) << what;
+}
+
+TEST(DualSimplexPerturbation, CachedCostsFollowRowAppend) {
+  // An engine that solved before its LP grew must answer solve, solve_from
+  // and resolve on the grown LP exactly like a fresh engine: the cached
+  // jitter is rebuilt for the new column count.
+  const Model m = tied_lp();
+  StandardLp grown_under(m);
+  StandardLp grown_first(m);
+  DualSimplex reused(grown_under);
+  ASSERT_EQ(reused.solve().status, LpStatus::kOptimal);
+  Basis warm = reused.basis();
+
+  for (StandardLp* lp : {&grown_under, &grown_first}) {
+    lp->add_row({{0, 1.0}, {2, 1.0}}, Sense::kLe, 1.5);
+  }
+  // The pre-growth basis, extended by the new row's slack.
+  warm.status.resize(static_cast<size_t>(grown_under.num_cols()), ColStatus::kBasic);
+  warm.basic.push_back(grown_under.num_cols() - 1);
+
+  DualSimplex fresh(grown_first);
+  expect_same_result(reused.solve(), fresh.solve(), "solve");
+  expect_same_result(reused.solve_from(warm), fresh.solve_from(warm), "solve_from");
+  for (StandardLp* lp : {&grown_under, &grown_first}) lp->set_bounds(1, 0.0, 0.5);
+  expect_same_result(reused.resolve(), fresh.resolve(), "resolve");
+
+  // With no pivots allowed the reduced costs are those of the jittered
+  // slack basis, so every jittered cost, the new slack's included, shows.
+  reused.set_iteration_limit(0);
+  fresh.set_iteration_limit(0);
+  const LpResult start = fresh.solve();
+  ASSERT_EQ(start.status, LpStatus::kIterLimit);
+  expect_same_result(reused.solve(), start, "jittered start");
+}
+
+TEST(DualSimplexPerturbation, DisabledPerturbationUsesExactCosts) {
+  // With no pivots allowed, the reported reduced costs are those of the
+  // slack basis: exactly c when perturbation is off (the slack duals are
+  // zero), jittered when it is on — also after the engine solved before
+  // and its LP grew by a row.
+  const Model m = tied_lp();
+  for (const bool perturb : {false, true}) {
+    StandardLp lp(m);
+    LpOptions opts;
+    opts.perturb = perturb;
+    DualSimplex ds(lp, opts);
+    ASSERT_EQ(ds.solve().status, LpStatus::kOptimal);
+    lp.add_row({{1, 1.0}, {3, 1.0}}, Sense::kLe, 2.0);
+    ds.set_iteration_limit(0);
+    const LpResult res = ds.solve();
+    ASSERT_EQ(res.status, LpStatus::kIterLimit);
+    for (int j = 0; j < lp.num_structural(); ++j) {
+      const double d = res.reduced_costs[static_cast<size_t>(j)];
+      const double c = lp.c()[static_cast<size_t>(j)];
+      if (perturb) {
+        EXPECT_NE(d, c) << "column " << j;
+      } else {
+        EXPECT_TRUE(same_bits({d}, {c})) << "column " << j << ": " << d << " vs " << c;
+      }
+    }
+  }
 }
 
 }  // namespace
