@@ -190,15 +190,24 @@ ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, Run
     // separator snapshot must cover every selector of the current model.
     LazySeparation(*tmpl_, ep).install(so);
   }
+  // time_limit_s bounds the whole rung, as in explore(): the probe may not
+  // run past what encode left of it, and the main solve gets only what
+  // remains after both.
+  const auto remaining_s = [&] {
+    return std::max(0.0, sopts.time_limit_s - rung_clock.seconds());
+  };
   if (so.mip_start.empty()) {
     std::vector<double> ext = session.extend_assignment(carry.x);
     if (!ext.empty()) {
       so.mip_start = std::move(ext);
       so.cutoff = carry.objective;
     } else {
-      so.mip_start = fixed_routing_start(ep, so);
+      milp::SolveOptions probe_opts = so;
+      probe_opts.exec.deadline = sopts.exec.deadline.tightened(remaining_s());
+      so.mip_start = fixed_routing_start(ep, probe_opts);
     }
   }
+  so.time_limit_s = remaining_s();
   const milp::MipResult res = milp::solve(ep.model, so);
   er.status = res.status;
   er.solve_stats = res.stats;

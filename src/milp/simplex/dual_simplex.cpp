@@ -103,8 +103,9 @@ void DualSimplex::install_basis(const Basis& basis) {
   }
 }
 
-void DualSimplex::repair_nonbasic_statuses() {
+bool DualSimplex::repair_nonbasic_statuses() {
   const int n = lp_->num_cols();
+  bool flipped = false;
   for (int j = 0; j < n; ++j) {
     if (basis_.status[static_cast<size_t>(j)] == ColStatus::kBasic) continue;
     const double d = dj_[static_cast<size_t>(j)];
@@ -112,12 +113,15 @@ void DualSimplex::repair_nonbasic_statuses() {
         std::isfinite(lp_->ub()[static_cast<size_t>(j)])) {
       basis_.status[static_cast<size_t>(j)] = ColStatus::kAtUpper;
       values_[static_cast<size_t>(j)] = lp_->ub()[static_cast<size_t>(j)];
+      flipped = true;
     } else if (basis_.status[static_cast<size_t>(j)] == ColStatus::kAtUpper &&
                d > opts_.dual_tol && std::isfinite(lp_->lb()[static_cast<size_t>(j)])) {
       basis_.status[static_cast<size_t>(j)] = ColStatus::kAtLower;
       values_[static_cast<size_t>(j)] = lp_->lb()[static_cast<size_t>(j)];
+      flipped = true;
     }
   }
+  return flipped;
 }
 
 bool DualSimplex::refactorize() {
@@ -188,8 +192,9 @@ LpResult DualSimplex::solve_from(const Basis& basis) {
   info_ = {/*warm=*/true, /*reused_lu=*/same_basis, /*refactor_fallback=*/false};
   recompute_basics();
   compute_duals();
-  repair_nonbasic_statuses();
-  recompute_basics();  // bound flips moved nonbasic values
+  // Bound flips moved nonbasic values; without one, the basics just
+  // computed are exactly what a second solve would give.
+  if (repair_nonbasic_statuses()) recompute_basics();
   return run();
 }
 
@@ -208,8 +213,7 @@ LpResult DualSimplex::resolve() {
   }
   recompute_basics();
   compute_duals();
-  repair_nonbasic_statuses();
-  recompute_basics();
+  if (repair_nonbasic_statuses()) recompute_basics();
   return run();
 }
 
@@ -221,8 +225,12 @@ LpResult DualSimplex::run() {
     return finish(LpStatus::kOptimal, 0);
   }
 
-  std::vector<double> rho(static_cast<size_t>(m));
   std::vector<double> w(static_cast<size_t>(m));
+  rho_.assign(static_cast<size_t>(m), 0.0);
+  rho_rows_.clear();
+  alphas_.assign(static_cast<size_t>(n), 0.0);
+  pivot_cols_.clear();
+  col_mark_.assign(static_cast<size_t>(n), 0);
   util::Stopwatch clock;
 
   int stall = 0;
@@ -283,36 +291,11 @@ LpResult DualSimplex::run() {
     const int leaving_col = basis_.basic[static_cast<size_t>(r)];
     const double sigma = best_viol > 0 ? 1.0 : -1.0;
 
-    // --- Row r of B^{-1}: rho = B^{-T} e_r.
-    std::fill(rho.begin(), rho.end(), 0.0);
-    rho[static_cast<size_t>(r)] = 1.0;
-    lu_.btran(rho);
-
-    // --- Dual ratio test over nonbasic columns. The alphas double as the
-    // pivot row needed for the incremental reduced-cost update below.
-    cands_.clear();
-    alphas_.assign(static_cast<size_t>(n), 0.0);
-    for (int j = 0; j < n; ++j) {
-      if (in_basis_[static_cast<size_t>(j)]) continue;
-      if (lp_->lb()[static_cast<size_t>(j)] == lp_->ub()[static_cast<size_t>(j)]) {
-        continue;  // fixed, can never move
-      }
-      const double alpha = lp_->a().dot_column(j, rho);
-      alphas_[static_cast<size_t>(j)] = alpha;
-      if (!banned_.empty() &&
-          std::find(banned_.begin(), banned_.end(), j) != banned_.end()) {
-        continue;
-      }
-      const double sa = sigma * alpha;
-      const ColStatus st = basis_.status[static_cast<size_t>(j)];
-      if (st == ColStatus::kAtLower && sa > opts_.pivot_tol) {
-        cands_.push_back({j, alpha, std::max(0.0, dj_[static_cast<size_t>(j)]) / sa});
-      } else if (st == ColStatus::kAtUpper && sa < -opts_.pivot_tol) {
-        cands_.push_back({j, alpha, std::max(0.0, -dj_[static_cast<size_t>(j)]) / (-sa)});
-      }
-    }
-    const auto& cands = cands_;
-    if (cands.empty()) {
+    // --- Pivot row and dual ratio test. The alphas double as the pivot
+    // row needed for the incremental reduced-cost update below.
+    compute_pivot_row(r);
+    const int q = choose_entering(sigma, bland);
+    if (q < 0) {
       if (!banned_.empty()) {
         // Every candidate for this row was banned for a knife-edge pivot.
         // With an exact factorization the FTRAN values are trustworthy: the
@@ -339,31 +322,6 @@ LpResult DualSimplex::run() {
         continue;
       }
       return finish(LpStatus::kPrimalInfeasible, iter);
-    }
-
-    int q = -1;
-    double best_alpha = 0.0;
-    if (bland) {
-      // Bland-style anti-cycling: smallest column index among those within
-      // tolerance of the minimal ratio.
-      double rmin = kInf;
-      for (const auto& c : cands) rmin = std::min(rmin, c.ratio);
-      for (const auto& c : cands) {
-        if (c.ratio <= rmin + opts_.dual_tol && (q == -1 || c.col < q)) {
-          q = c.col;
-          best_alpha = c.alpha;
-        }
-      }
-    } else {
-      double best_ratio = kInf;
-      for (const auto& c : cands) {
-        if (c.ratio < best_ratio - 1e-12 ||
-            (c.ratio < best_ratio + 1e-12 && std::abs(c.alpha) > std::abs(best_alpha))) {
-          q = c.col;
-          best_alpha = c.alpha;
-          best_ratio = c.ratio;
-        }
-      }
     }
 
     // --- FTRAN the entering column. Slack and singleton structural columns
@@ -440,6 +398,78 @@ LpResult DualSimplex::run() {
     }
   }
   return finish(LpStatus::kIterLimit, opts_.max_iters);
+}
+
+void DualSimplex::compute_pivot_row(int r) {
+  // The previous row's rho and alphas go back to +0.0 first.
+  for (const int i : rho_rows_) rho_[static_cast<size_t>(i)] = 0.0;
+  for (const int j : pivot_cols_) alphas_[static_cast<size_t>(j)] = 0.0;
+  lu_.btran_unit(rho_, r, rho_rows_);
+
+  // A column's alpha can be nonzero only if it has an entry in a row where
+  // rho is. Pricing those in ascending column order gives the dense loop's
+  // candidate order (and so its tie-breaks), and dot_column is the same
+  // full-column gather, so every alpha is bitwise the dense one; the rest
+  // are exact zeros that could never enter.
+  pivot_cols_.clear();
+  for (const int i : rho_rows_) {
+    if (rho_[static_cast<size_t>(i)] == 0.0) continue;
+    for (const int32_t j : lp_->row_pattern(i)) {
+      const auto jj = static_cast<size_t>(j);
+      // Basic columns are not priced, nor fixed ones: they can never move.
+      if (col_mark_[jj] || in_basis_[jj] || lp_->lb()[jj] == lp_->ub()[jj]) continue;
+      col_mark_[jj] = 1;
+      pivot_cols_.push_back(j);
+    }
+  }
+  std::sort(pivot_cols_.begin(), pivot_cols_.end());
+  for (const int j : pivot_cols_) {
+    col_mark_[static_cast<size_t>(j)] = 0;
+    alphas_[static_cast<size_t>(j)] = lp_->a().dot_column(j, rho_);
+  }
+}
+
+int DualSimplex::choose_entering(double sigma, bool bland) {
+  cands_.clear();
+  for (const int j : pivot_cols_) {
+    if (!banned_.empty() && std::find(banned_.begin(), banned_.end(), j) != banned_.end()) {
+      continue;
+    }
+    const double alpha = alphas_[static_cast<size_t>(j)];
+    const double sa = sigma * alpha;
+    const ColStatus st = basis_.status[static_cast<size_t>(j)];
+    if (st == ColStatus::kAtLower && sa > opts_.pivot_tol) {
+      cands_.push_back({j, alpha, std::max(0.0, dj_[static_cast<size_t>(j)]) / sa});
+    } else if (st == ColStatus::kAtUpper && sa < -opts_.pivot_tol) {
+      cands_.push_back({j, alpha, std::max(0.0, -dj_[static_cast<size_t>(j)]) / (-sa)});
+    }
+  }
+
+  int q = -1;
+  double best_alpha = 0.0;
+  if (bland) {
+    // Bland-style anti-cycling: smallest column index among those within
+    // tolerance of the minimal ratio.
+    double rmin = kInf;
+    for (const auto& c : cands_) rmin = std::min(rmin, c.ratio);
+    for (const auto& c : cands_) {
+      if (c.ratio <= rmin + opts_.dual_tol && (q == -1 || c.col < q)) {
+        q = c.col;
+        best_alpha = c.alpha;
+      }
+    }
+  } else {
+    double best_ratio = kInf;
+    for (const auto& c : cands_) {
+      if (c.ratio < best_ratio - 1e-12 ||
+          (c.ratio < best_ratio + 1e-12 && std::abs(c.alpha) > std::abs(best_alpha))) {
+        q = c.col;
+        best_alpha = c.alpha;
+        best_ratio = c.ratio;
+      }
+    }
+  }
+  return q;
 }
 
 LpResult DualSimplex::finish(LpStatus status, int iters) {

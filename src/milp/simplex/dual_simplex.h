@@ -105,13 +105,25 @@ class DualSimplex {
  private:
   void start_from_slack_basis();
   void install_basis(const Basis& basis);
-  /// Repairs dual feasibility of nonbasic statuses by bound flips.
-  void repair_nonbasic_statuses();
+  /// Repairs dual feasibility of nonbasic statuses by bound flips. Returns
+  /// whether any status flipped (and so moved a nonbasic value).
+  bool repair_nonbasic_statuses();
   bool refactorize();
   void recompute_basics();
   void compute_duals();
   LpResult run();
   LpResult finish(LpStatus status, int iters);
+
+  /// Pivot row of basis position r: rho_ = B^-T e_r by hyper-sparse BTRAN,
+  /// then alpha_j = rho^T A_j for the nonbasic, non-fixed columns with a
+  /// nonzero in a row where rho is nonzero — pivot_cols_, ascending, found
+  /// through the LP's row pattern. Every other alphas_ entry is +0.0.
+  void compute_pivot_row(int r);
+
+  /// Dual ratio test over pivot_cols_ for a leaving row whose violation has
+  /// sign `sigma`: fills cands_ and returns the entering column, or -1 when
+  /// no column qualifies.
+  int choose_entering(double sigma, bool bland);
 
   /// Primal bound violation of column j at value v (positive above ub,
   /// negative below lb, 0 if inside).
@@ -120,6 +132,9 @@ class DualSimplex {
   /// Installs the (possibly perturbed) working costs. The jittered vector
   /// is cached and rebuilt only when the LP's column count changes.
   void reset_costs();
+
+  /// Test-only access (the dense pricing reference in the pivot-row test).
+  friend struct DualSimplexTestPeer;
 
   const StandardLp* lp_;
   LpOptions opts_;
@@ -142,7 +157,11 @@ class DualSimplex {
     double ratio;
   };
   std::vector<RatioCandidate> cands_;
-  std::vector<double> alphas_;  ///< pivot row alpha_j per column
+  std::vector<double> rho_;        ///< B^-T e_r by row, all zero off rho_rows_
+  std::vector<int> rho_rows_;      ///< rows where rho_ may be nonzero
+  std::vector<double> alphas_;     ///< pivot row alpha_j per column, +0.0 off pivot_cols_
+  std::vector<int> pivot_cols_;    ///< columns priced for the current pivot row, ascending
+  std::vector<char> col_mark_;     ///< column already in pivot_cols_, all zero between rows
   std::vector<int> banned_;      ///< columns excluded from the current ratio test
   std::vector<int> banned_rows_;  ///< rows skipped by leaving selection (knife-edge pivots)
 };

@@ -25,6 +25,14 @@ namespace wnet::milp::simplex {
 /// The cost of factorize() scales with the L/U fill, not with m^2: each
 /// column's elimination, pivot search and L extraction visit only the steps
 /// and rows that column actually reaches (plus O(m) set-up per call).
+///
+/// Two unit solves serve the dual simplex's single-nonzero right-hand
+/// sides: ftran_unit (a slack or singleton entering column) and btran_unit
+/// (rho = B^-T e_r, the pivot row's multipliers). Each visits only the
+/// elimination steps its seed reaches through the L/U patterns — column
+/// patterns for FTRAN, the transposed patterns factorize() builds for
+/// BTRAN — and reproduces the dense solve bit for bit on every nonzero.
+/// The dense ftran()/btran() remain for dense right-hand sides.
 class BasisLu {
  public:
   /// Factorizes B = A[:, basis_cols]. Columns are pre-ordered by increasing
@@ -42,10 +50,10 @@ class BasisLu {
   /// Hyper-sparse FTRAN for a right-hand side with a single nonzero
   /// (`value` at original row `row`, i.e. a slack or singleton structural
   /// column). `x` must be all-zero on entry and receives the solution in
-  /// basis-position space. The forward pass walks only the steps actually
-  /// reached from the seed row (topological order via a step heap) and the
-  /// backward pass starts at the deepest touched step, so the cost is
-  /// proportional to the solution's fill instead of O(m). Arithmetic is
+  /// basis-position space. The forward pass walks, in step order, only the
+  /// steps actually reached from the seed row and the backward pass starts
+  /// at the deepest touched step, so the cost is proportional to the
+  /// solution's fill instead of O(m). Arithmetic is
   /// bitwise-identical to ftran() on the equivalent dense input: every
   /// skipped iteration would have operated on an exact zero.
   void ftran_unit(std::vector<double>& x, int row, double value) const;
@@ -53,6 +61,16 @@ class BasisLu {
   /// Solves B^T y = c. `y` is c on input (indexed by basis position) and
   /// the solution on output (indexed by row).
   void btran(std::vector<double>& y) const;
+
+  /// Hyper-sparse BTRAN of the unit vector e_pos (basis-position space).
+  /// `y` must be all-zero on entry and receives B^-T e_pos by row, equal
+  /// under == to btran() on the dense unit vector; `rows` receives the rows
+  /// that may be nonzero (every other entry of `y` is +0.0). The eta pass
+  /// is the dense one; the U^T forward and L^T backward passes visit, in
+  /// step order, only the steps reachable from the eta pass's nonzeros
+  /// through the transposed U and L patterns, and run the same full-column
+  /// gather there, so every nonzero is bitwise-identical to btran().
+  void btran_unit(std::vector<double>& y, int pos, std::vector<int>& rows) const;
 
   /// Records the replacement of basis position `pos` by a column whose
   /// FTRAN representation is `w` (dense, basis-position space). Returns
@@ -80,6 +98,9 @@ class BasisLu {
   };
 
   void debug_check_solve(const std::vector<double>& v) const;
+  /// Builds qinv_ and the transposed U/L step patterns from the finished
+  /// factors, in O(m + fill).
+  void build_transposed_patterns();
 
   int m_ = 0;
   // L: column t holds entries (original row i, value) with pinv_[i] > t;
@@ -99,16 +120,26 @@ class BasisLu {
   std::vector<int> p_;     ///< p_[step] = original row
   std::vector<int> pinv_;  ///< pinv_[original row] = step
   std::vector<int> q_;     ///< q_[step] = basis position of factored column
+  std::vector<int> qinv_;  ///< qinv_[basis position] = step
+  // Transposed patterns (btran_unit): ut_cols_[ut_start_[t] .. ut_start_[t+1])
+  // lists, ascending, the steps k > t whose U column holds step t;
+  // lt_cols_ likewise the steps k < t whose L column holds step t.
+  std::vector<int32_t> ut_cols_;
+  std::vector<int64_t> ut_start_;  ///< size m_ + 1
+  std::vector<int32_t> lt_cols_;
+  std::vector<int64_t> lt_start_;  ///< size m_ + 1
   std::vector<Eta> etas_;
   std::vector<int32_t> eta_rows_;  ///< basis-position space
   std::vector<double> eta_vals_;
 
   mutable std::vector<double> work_;   ///< dense scratch, size m, all zero between calls
   mutable std::vector<double> work2_;  ///< dense scratch, size m
-  mutable std::vector<int> heap_;      ///< pending-step min-heap (factorize, ftran_unit)
-  mutable std::vector<int> touched_;   ///< steps reached by the ftran_unit forward pass
-  mutable std::vector<char> queued_;   ///< step already in heap_, size m, all zero between calls
+  mutable std::vector<int> touched_;   ///< steps visited by ftran_unit/btran_unit
+  /// Pending elimination steps as bits (factorize and the unit solves), all
+  /// zero between calls.
+  mutable std::vector<uint64_t> pending_;
   std::vector<size_t> col_nnz_;        ///< factorize: nonzeros per basis position
+  std::vector<int> nnz_count_;         ///< factorize: counting-sort buckets
   std::vector<int> pattern_;           ///< factorize: unpivoted rows the column reached
   std::vector<char> in_pattern_;       ///< factorize: row already in pattern_, size m
 };

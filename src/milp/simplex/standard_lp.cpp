@@ -28,14 +28,20 @@ StandardLp::StandardLp(const Model& model)
   lb_synth_.assign(static_cast<size_t>(n_total), 0);
   ub_synth_.assign(static_cast<size_t>(n_total), 0);
 
-  // Structural columns: gather per-column entries from the row-wise model.
+  // Structural columns: gather per-column entries from the row-wise model,
+  // and record the row pattern on the way.
   std::vector<std::vector<Entry>> cols(static_cast<size_t>(n_total));
+  row_start_.reserve(static_cast<size_t>(m) + 1);
+  row_start_.push_back(0);
   for (int i = 0; i < m; ++i) {
     const Constraint& cn = model.constrs()[static_cast<size_t>(i)];
     b_[static_cast<size_t>(i)] = cn.rhs;
     for (const auto& [v, coef] : cn.expr.terms()) {
       cols[static_cast<size_t>(v.id)].push_back({i, coef});
+      row_cols_.push_back(static_cast<int32_t>(v.id));
     }
+    row_cols_.push_back(static_cast<int32_t>(n_struct_ + i));
+    row_start_.push_back(static_cast<int64_t>(row_cols_.size()));
   }
   for (int j = 0; j < n_struct_; ++j) {
     const VarData& vd = model.vars()[static_cast<size_t>(j)];
@@ -115,14 +121,20 @@ int StandardLp::add_row(const std::vector<std::pair<int, double>>& terms, Sense 
                         double rhs) {
   const int i = num_rows();
   int prev = -1;
-  for (const auto& [col, coef] : terms) {
+  for (const auto& term : terms) {
+    const int col = term.first;
     if (col < 0 || col >= n_struct_) {
       throw std::out_of_range("StandardLp::add_row: not a structural column");
     }
     if (col <= prev) throw std::invalid_argument("StandardLp::add_row: ids not ascending");
     prev = col;
-    a_.append_entry(col, {i, coef});  // i is the largest row index: order kept
   }
+  for (const auto& [col, coef] : terms) {
+    a_.append_entry(col, {i, coef});  // i is the largest row index: order kept
+    row_cols_.push_back(static_cast<int32_t>(col));
+  }
+  row_cols_.push_back(static_cast<int32_t>(n_struct_ + i));
+  row_start_.push_back(static_cast<int64_t>(row_cols_.size()));
   b_.push_back(rhs);
   a_.set_num_rows(i + 1);
   a_.add_column({{i, 1.0}});  // slack of row i = column n_struct_ + i

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "milp/model.h"
@@ -30,6 +32,14 @@ class StandardLp {
   [[nodiscard]] int num_structural() const { return n_struct_; }
 
   [[nodiscard]] const SparseMatrix& a() const { return a_; }
+  /// Column indices of row i's nonzeros (its structurals in ascending
+  /// order, then its slack): a CSR pattern of A, without values, that the
+  /// dual simplex walks to find the columns a sparse pivot row reaches.
+  [[nodiscard]] std::span<const int32_t> row_pattern(int i) const {
+    const auto s = static_cast<size_t>(row_start_[static_cast<size_t>(i)]);
+    const auto e = static_cast<size_t>(row_start_[static_cast<size_t>(i) + 1]);
+    return {row_cols_.data() + s, e - s};
+  }
   [[nodiscard]] const std::vector<double>& b() const { return b_; }
   [[nodiscard]] const std::vector<double>& c() const { return c_; }
   [[nodiscard]] const std::vector<double>& lb() const { return lb_; }
@@ -62,6 +72,8 @@ class StandardLp {
   void clamp_cost_side_infinities();
 
   SparseMatrix a_;
+  std::vector<int32_t> row_cols_;   ///< row_pattern() storage
+  std::vector<int64_t> row_start_;  ///< size num_rows() + 1
   std::vector<double> b_;
   std::vector<double> c_;
   std::vector<double> lb_;

@@ -172,5 +172,26 @@ TEST(ExplorerTimeLimit, BoundsTheWholeCall) {
   EXPECT_LE(res.total_time_s, so.time_limit_s + 0.5);
 }
 
+TEST(ExplorerTimeLimit, BoundsTheWholeRung) {
+  // The same design as one rung of an incremental K* ladder, with no
+  // carried incumbent, so the fixed-routing probe runs: encode, probe and
+  // main solve together must stay within the rung's time limit.
+  workloads::DataCollectionConfig cfg;
+  cfg.sensors = 40;
+  cfg.relay_grid_x = 12;
+  cfg.relay_grid_y = 10;
+  cfg.seed = 2;
+  const auto sc = workloads::make_data_collection(cfg);
+  const Explorer ex(*sc->tmpl, sc->spec);
+  EncoderOptions eo;
+  IncrementalEncoder session(*sc->tmpl, sc->spec, eo);
+  Explorer::RungCarry carry;
+  milp::SolveOptions so;
+  so.time_limit_s = 1.0;
+  const auto res = ex.explore_rung(session, 10, carry, so);
+  EXPECT_NE(res.status, milp::SolveStatus::kOptimal);
+  EXPECT_LE(res.total_time_s, so.time_limit_s + 0.5);
+}
+
 }  // namespace
 }  // namespace wnet::archex

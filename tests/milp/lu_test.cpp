@@ -125,6 +125,7 @@ struct BasisLuTestPeer {
     for (size_t i = 0; i < lu.l_rows_.size(); ++i) {
       lu.l_steps_[i] = lu.pinv_[static_cast<size_t>(lu.l_rows_[i])];
     }
+    lu.build_transposed_patterns();
     return true;
   }
 
@@ -380,8 +381,9 @@ void expect_bitwise(const std::vector<double>& got, const std::vector<double>& w
   }
 }
 
-/// ftran, btran and ftran_unit of `x` and `y` agree bit for bit on seeded
-/// right-hand sides (some entries exactly zero), and so does fill().
+/// ftran, btran, ftran_unit and btran_unit of `x` and `y` agree bit for bit
+/// on seeded right-hand sides (some entries exactly zero), and so does
+/// fill().
 void expect_same_solves(const BasisLu& x, const BasisLu& y, std::mt19937& rng,
                         const std::string& what) {
   EXPECT_EQ(x.fill(), y.fill()) << what;
@@ -409,6 +411,14 @@ void expect_same_solves(const BasisLu& x, const BasisLu& y, std::mt19937& rng,
     x.ftran_unit(ux, row, value);
     y.ftran_unit(uy, row, value);
     expect_bitwise(ux, uy, what + " ftran_unit row " + std::to_string(row));
+  }
+  std::vector<int> rows;
+  for (int pos = 0; pos < m; ++pos) {
+    std::vector<double> ux(static_cast<size_t>(m), 0.0);
+    std::vector<double> uy(static_cast<size_t>(m), 0.0);
+    x.btran_unit(ux, pos, rows);
+    y.btran_unit(uy, pos, rows);
+    expect_bitwise(ux, uy, what + " btran_unit pos " + std::to_string(pos));
   }
 }
 
@@ -445,6 +455,34 @@ SparseMatrix random_wide_matrix(int m, int extra, const std::vector<double>& val
   return from_dense(d);
 }
 
+/// A basis of m columns of `a` = [S | I] (`extra` structurals, then the
+/// slacks) in shuffled order, as the dual simplex hands them over: up to
+/// `k` structurals, each claiming one of its rows no earlier pick claimed,
+/// and slacks for the unclaimed rows. The basis has a nonzero transversal,
+/// so only numerical cancellation makes it singular.
+std::vector<int> mixed_basis(const SparseMatrix& a, int m, int extra, size_t k,
+                             std::mt19937& rng) {
+  std::vector<int> structurals(static_cast<size_t>(extra));
+  std::iota(structurals.begin(), structurals.end(), 0);
+  std::shuffle(structurals.begin(), structurals.end(), rng);
+  std::vector<char> claimed(static_cast<size_t>(m), 0);
+  std::vector<int> basis;
+  for (const int j : structurals) {
+    if (basis.size() == k) break;
+    for (const Entry& e : a.column(j)) {
+      if (claimed[static_cast<size_t>(e.row)]) continue;
+      claimed[static_cast<size_t>(e.row)] = 1;
+      basis.push_back(j);
+      break;
+    }
+  }
+  for (int i = 0; i < m; ++i) {
+    if (!claimed[static_cast<size_t>(i)]) basis.push_back(extra + i);
+  }
+  std::shuffle(basis.begin(), basis.end(), rng);
+  return basis;
+}
+
 TEST(BasisLuReference, RandomSparseSubsetBasesMatchBitwise) {
   // Bases are m columns of a wider matrix in shuffled order, as the dual
   // simplex hands them over: structurals mixed with slacks.
@@ -461,30 +499,10 @@ TEST(BasisLuReference, RandomSparseSubsetBasesMatchBitwise) {
       const int m = 3 + static_cast<int>(rng() % 30u);
       const int extra = m + static_cast<int>(rng() % static_cast<unsigned>(m));
       const SparseMatrix a = random_wide_matrix(m, extra, values, rng);
-      // Up to m structurals (as many as fit on every other draw, so the
-      // elimination fills in), each claiming one of its rows no earlier
-      // pick claimed; slacks fill the unclaimed rows. The basis has a
-      // nonzero transversal, so only numerical cancellation makes it
-      // singular.
-      std::vector<int> structurals(static_cast<size_t>(extra));
-      std::iota(structurals.begin(), structurals.end(), 0);
-      std::shuffle(structurals.begin(), structurals.end(), rng);
+      // As many structurals as fit on every other draw, so the elimination
+      // fills in.
       const size_t k = t % 2 == 0 ? static_cast<size_t>(m) : rng() % static_cast<unsigned>(m + 1);
-      std::vector<char> claimed(static_cast<size_t>(m), 0);
-      std::vector<int> basis;
-      for (const int j : structurals) {
-        if (basis.size() == k) break;
-        for (const Entry& e : a.column(j)) {
-          if (claimed[static_cast<size_t>(e.row)]) continue;
-          claimed[static_cast<size_t>(e.row)] = 1;
-          basis.push_back(j);
-          break;
-        }
-      }
-      for (int i = 0; i < m; ++i) {
-        if (!claimed[static_cast<size_t>(i)]) basis.push_back(extra + i);
-      }
-      std::shuffle(basis.begin(), basis.end(), rng);
+      const std::vector<int> basis = mixed_basis(a, m, extra, k, rng);
       ++trials;
       if (expect_matches_reference(a, basis, rng, "trial " + std::to_string(trials))) {
         ++nonsingular;
@@ -493,6 +511,116 @@ TEST(BasisLuReference, RandomSparseSubsetBasesMatchBitwise) {
   }
   // Most draws must be nonsingular, or the comparison proves little.
   EXPECT_GE(nonsingular, trials / 2);
+}
+
+// --- btran_unit vs dense btran -----------------------------------------------
+
+/// btran_unit(pos) against btran() of the dense unit vector e_pos: equal
+/// under ==, bitwise equal on every nonzero, every nonzero row listed in
+/// `rows` (each row once), and exactly +0.0 everywhere else. `y` is reused
+/// across positions, cleared through `rows`, as the dual simplex does.
+void expect_btran_unit_matches(const BasisLu& lu, const std::string& what) {
+  const int m = lu.dim();
+  std::vector<double> y(static_cast<size_t>(m), 0.0);
+  std::vector<int> rows;
+  for (int pos = 0; pos < m; ++pos) {
+    std::vector<double> dense(static_cast<size_t>(m), 0.0);
+    dense[static_cast<size_t>(pos)] = 1.0;
+    lu.btran(dense);
+    lu.btran_unit(y, pos, rows);
+    const std::string at = what + " pos " + std::to_string(pos);
+    std::vector<char> listed(static_cast<size_t>(m), 0);
+    for (const int i : rows) {
+      ASSERT_TRUE(i >= 0 && i < m) << at;
+      EXPECT_FALSE(listed[static_cast<size_t>(i)]) << at << ": row " << i << " listed twice";
+      listed[static_cast<size_t>(i)] = 1;
+    }
+    for (int i = 0; i < m; ++i) {
+      const double got = y[static_cast<size_t>(i)];
+      const double want = dense[static_cast<size_t>(i)];
+      EXPECT_EQ(got, want) << at << " row " << i;
+      if (want != 0.0) {
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << at << " row " << i;
+        EXPECT_TRUE(listed[static_cast<size_t>(i)]) << at << ": nonzero row " << i << " unlisted";
+      }
+      if (!listed[static_cast<size_t>(i)]) {
+        EXPECT_FALSE(std::signbit(got)) << at << ": unlisted row " << i << " holds -0.0";
+      }
+    }
+    for (const int i : rows) y[static_cast<size_t>(i)] = 0.0;
+  }
+}
+
+/// Applies `count` eta updates to `lu`, as simplex pivots would: each
+/// brings in a random column of `a` at the basis position of its largest
+/// FTRAN entry. Returns the number applied (a tiny pivot stops early).
+int apply_random_etas(BasisLu& lu, const SparseMatrix& a, int count, std::mt19937& rng) {
+  const int m = lu.dim();
+  for (int e = 0; e < count; ++e) {
+    std::vector<double> w(static_cast<size_t>(m), 0.0);
+    const int j = static_cast<int>(rng() % static_cast<unsigned>(a.num_cols()));
+    for (const Entry& en : a.column(j)) w[static_cast<size_t>(en.row)] = en.value;
+    lu.ftran(w);
+    int pos = 0;
+    for (int i = 1; i < m; ++i) {
+      if (std::abs(w[static_cast<size_t>(i)]) > std::abs(w[static_cast<size_t>(pos)])) pos = i;
+    }
+    if (std::abs(w[static_cast<size_t>(pos)]) < 1e-3 || !lu.update(pos, w)) return e;
+  }
+  return count;
+}
+
+TEST(BasisLu, BtranUnitMatchesDenseBtran) {
+  // Random sparse bases mixing structurals and slacks, with 0..100 eta
+  // updates on top of the factorization.
+  std::mt19937 rng(314);
+  int max_etas = 0;
+  int tested = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int m = 8 + static_cast<int>(rng() % 40u);
+    const int extra = m + static_cast<int>(rng() % static_cast<unsigned>(m));
+    const SparseMatrix a = random_wide_matrix(
+        m, extra,
+        trial % 2 == 0 ? std::vector<double>{-3.0, -1.25, 0.7, 2.0, 5.5}
+                       : std::vector<double>{-2.0, -1.0, -0.5, 0.5, 1.0, 2.0},
+        rng);
+    BasisLu lu;
+    if (!lu.factorize(a, mixed_basis(a, m, extra, static_cast<size_t>(m), rng))) continue;
+    ++tested;
+    const int etas = apply_random_etas(lu, a, (trial * 100) / 39, rng);
+    max_etas = std::max(max_etas, etas);
+    expect_btran_unit_matches(lu, "trial " + std::to_string(trial) + " etas " +
+                                      std::to_string(etas));
+  }
+  EXPECT_GE(tested, 20);
+  EXPECT_GE(max_etas, 50);
+}
+
+TEST(BasisLu, BtranUnitAfterSingularFactorize) {
+  // Each singular draw is followed by a nonsingular factorization of a
+  // mixed basis on the same object: btran_unit must see only the new
+  // factors, and agree bit for bit with a fresh object's.
+  std::mt19937 gen(17);
+  int singular = 0;
+  for (int t = 0; t < 120; ++t) {
+    const int m = 4 + static_cast<int>(gen() % 12u);
+    const SparseMatrix w = random_wide_matrix(m, 2 * m, {-2.0, -1.0, 1.0, 2.0}, gen);
+    std::vector<int> cols(static_cast<size_t>(2 * m));
+    std::iota(cols.begin(), cols.end(), 0);
+    std::shuffle(cols.begin(), cols.end(), gen);  // structurals only
+    BasisLu lu;
+    if (lu.factorize(w, std::vector<int>(cols.begin(), cols.begin() + m))) continue;
+    ++singular;
+    const std::vector<int> basis = mixed_basis(w, m, 2 * m, static_cast<size_t>(m), gen);
+    BasisLu fresh;
+    const bool ok = fresh.factorize(w, basis);
+    ASSERT_EQ(lu.factorize(w, basis), ok) << "draw " << t;
+    if (!ok) continue;
+    expect_same_solves(lu, fresh, gen, "draw " + std::to_string(t));
+    apply_random_etas(lu, w, t % 20, gen);
+    expect_btran_unit_matches(lu, "draw " + std::to_string(t));
+  }
+  EXPECT_GT(singular, 0);
 }
 
 TEST(BasisLuReference, ExactCancellationLeavesNoLEntry) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 namespace wnet::milp::simplex {
 namespace {
@@ -88,6 +91,57 @@ TEST(StandardLp, EmptyModel) {
   EXPECT_EQ(lp.num_rows(), 0);
   EXPECT_EQ(lp.num_cols(), 0);
   EXPECT_DOUBLE_EQ(lp.objective_value({}), 4.2);
+}
+
+/// Row i's columns as the transpose of A's column pattern (ascending).
+std::vector<int> transposed_row(const StandardLp& lp, int i) {
+  std::vector<int> cols;
+  for (int j = 0; j < lp.num_cols(); ++j) {
+    for (const Entry& e : lp.a().column(j)) {
+      if (e.row == i) cols.push_back(j);
+    }
+  }
+  return cols;
+}
+
+void expect_row_pattern_matches_a(const StandardLp& lp) {
+  for (int i = 0; i < lp.num_rows(); ++i) {
+    const auto pattern = lp.row_pattern(i);
+    const std::vector<int> got(pattern.begin(), pattern.end());
+    // Structurals ascending, then the row's own slack.
+    ASSERT_FALSE(got.empty()) << "row " << i;
+    EXPECT_EQ(got.back(), lp.num_structural() + i) << "row " << i;
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "row " << i;
+    EXPECT_EQ(got, transposed_row(lp, i)) << "row " << i;
+  }
+}
+
+TEST(StandardLpRowPattern, MatchesColumnsAndFollowsAddRow) {
+  Model m;
+  std::vector<Var> x;
+  for (int j = 0; j < 5; ++j) x.push_back(m.add_continuous("x" + std::to_string(j), 0.0, 4.0));
+  m.add_le(LinExpr(x[0]) + 2.0 * LinExpr(x[3]), 3.0);
+  m.add_ge(LinExpr(x[4]) - LinExpr(x[1]) + LinExpr(x[2]), -1.0);
+  m.add_eq(LinExpr(x[2]), 0.5);
+  m.minimize(LinExpr(x[0]) + LinExpr(x[1]));
+
+  StandardLp lp(m);
+  expect_row_pattern_matches_a(lp);
+  EXPECT_EQ(lp.add_row({{1, 1.0}, {3, -2.0}, {4, 0.5}}, Sense::kLe, 1.0), 3);
+  expect_row_pattern_matches_a(lp);
+  EXPECT_EQ(lp.add_row({{0, 1.0}}, Sense::kGe, 0.0), 4);
+  EXPECT_EQ(lp.add_row({}, Sense::kEq, 0.0), 5);
+  expect_row_pattern_matches_a(lp);
+
+  // A rejected row leaves the matrix and its row pattern untouched.
+  const size_t nnz = lp.a().nonzeros();
+  EXPECT_THROW(lp.add_row({{0, 1.0}, {2, 1.0}, {1, 1.0}}, Sense::kLe, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(lp.add_row({{1, 1.0}, {7, 1.0}}, Sense::kLe, 1.0), std::out_of_range);
+  EXPECT_EQ(lp.a().nonzeros(), nnz);
+  EXPECT_EQ(lp.num_rows(), 6);
+  EXPECT_EQ(lp.add_row({{2, 3.0}}, Sense::kLe, 1.0), 6);
+  expect_row_pattern_matches_a(lp);
 }
 
 }  // namespace
