@@ -48,8 +48,8 @@ int tighten_row(const RowSystem& rs, int row, std::vector<double>& lb, std::vect
   // Row activity bounds including every term, as the SIMD min/max kernel:
   // with lb <= ub and a != 0 (zero coefficients are dropped at RowSystem
   // construction), min(a*lb, a*ub) equals the branchy a >= 0 selection
-  // bit-for-bit, and the gathered 4-lane accumulation is identical across
-  // dispatch levels.
+  // bit-for-bit, and the gathered 4-lane accumulation is identical in both
+  // kernel sets.
   static_assert(sizeof(int) == sizeof(int32_t));
   double act_lo = 0.0;
   double act_hi = 0.0;

@@ -332,7 +332,7 @@ void BasisLu::btran(std::vector<double>& y) const {
   debug_check_solve(y);
   const util::simd::Kernels& kern = kernels();
   // Etas transposed, newest first: y <- E^{-T} y. The dot is the 4-lane
-  // kernel (acc = y[pos] - Σ lanes), bit-identical across dispatch levels.
+  // kernel (acc = y[pos] - Σ lanes), bit-identical in both kernel sets.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
     const double dot = kern.gather_dot(eta_rows_.data() + it->start,
                                        eta_vals_.data() + it->start, it->len, y.data());

@@ -19,8 +19,8 @@ namespace wnet::milp::simplex {
 /// int32 index pool and one flat double value pool with per-column start
 /// offsets (columns are built strictly in factorization order, so no
 /// capacity slack is needed). The split arrays feed the util/simd
-/// gather/scatter kernels; all solves are bit-identical across dispatch
-/// levels (see util/simd/simd.h for the lane-order contract).
+/// gather/scatter kernels; all solves are bit-identical in both kernel
+/// sets (see util/simd/simd.h for the lane-order contract).
 ///
 /// The cost of factorize() scales with the L/U fill, not with m^2: each
 /// column's elimination, pivot search and L extraction visit only the steps

@@ -59,8 +59,9 @@ class ColumnView {
 /// pooled int32 row-index array and one flat double value array shared by
 /// all columns, with per-column {start, len, cap} metadata. The split
 /// layout feeds the SIMD gather/scatter kernels (util/simd) directly —
-/// `dot_column` is a gather-dot, `axpy_column` a scatter-axpy — and halves
-/// the bytes streamed per pricing pass vs the old interleaved
+/// `dot_column` is a gather-dot, `axpy_column` a scatter-axpy, both from
+/// the one kernel set the build compiled in — and halves the bytes
+/// streamed per pricing pass vs the old interleaved
 /// Entry{int,double} layout (12 packed -> 8+4 split, no padding).
 ///
 /// Columns are allocated in the pool with capacity slack; `append_entry`

@@ -158,9 +158,9 @@ struct SolveStats {
   bool mip_start_used = false;  ///< the supplied MIP start passed feasibility
   std::vector<IncumbentEvent> incumbent_timeline;
 
-  /// Active SIMD dispatch level ("scalar", "sse2", "avx2", "neon") recorded
-  /// at solve entry. Diagnostic only: results are bit-identical across
-  /// levels by the kernel determinism contract (see util/simd/simd.h).
+  /// SIMD kernel set the build compiled in ("sse2" or "scalar"). Diagnostic
+  /// only: results are bit-identical in both sets by the kernel determinism
+  /// contract (see util/simd/simd.h).
   std::string simd_level;
 
   /// Fraction of node LPs that reused an inherited basis (0 when no nodes).

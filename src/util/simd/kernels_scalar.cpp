@@ -1,8 +1,7 @@
 /// Scalar reference kernels. These spell out the canonical 4-logical-lane
-/// semantics every vector variant must reproduce bit-for-bit; the TU is
-/// compiled with -ffp-contract=off and -fno-tree-vectorize so the
-/// "scalar" dispatch level (and the benchmark baselines) are honest
-/// unvectorized, uncontracted code.
+/// semantics the SSE2 set must reproduce bit-for-bit, and are the kernel
+/// set of builds that do not target SSE2. The TU is compiled with
+/// -ffp-contract=off so no multiply-add is fused.
 
 #include <cmath>
 
@@ -40,7 +39,7 @@ void row_activity(const int32_t* cols, const double* coef, int n,
   double lo[4] = {0.0, 0.0, 0.0, 0.0};
   double hi[4] = {0.0, 0.0, 0.0, 0.0};
   // MINPD selection rule: min(x, y) = x < y ? x : y (second operand on
-  // ties), symmetric for max. Matches _mm_min_pd / compare+select on NEON.
+  // ties), symmetric for max. Matches _mm_min_pd.
   const auto term = [&](int i, double* lo_lane, double* hi_lane) {
     const double pl = coef[i] * lb[cols[i]];
     const double pu = coef[i] * ub[cols[i]];

@@ -1,10 +1,11 @@
-/// SSE2 kernels (baseline x86-64 — always CPU-supported there). Four
-/// logical lanes are carried in two 128-bit registers: {lane0, lane1} and
-/// {lane2, lane3}, reduced as (lane0 + lane2) + (lane1 + lane3), matching
-/// the scalar reference bit-for-bit. Compiled with -ffp-contract=off; SSE2
-/// has no FMA, so every multiply-add is two roundings by construction.
+/// SSE2 kernels: the set of every build that targets SSE2 (the x86-64
+/// baseline). Four logical lanes are carried in two 128-bit registers:
+/// {lane0, lane1} and {lane2, lane3}, reduced as (lane0 + lane2) +
+/// (lane1 + lane3), matching the scalar reference bit-for-bit. Compiled
+/// with -ffp-contract=off; SSE2 has no FMA, so every multiply-add is two
+/// roundings by construction.
 
-#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64)
+#if defined(__SSE2__)
 
 #include <emmintrin.h>
 
@@ -220,4 +221,4 @@ const Kernels kSse2Kernels = {
 
 }  // namespace wnet::util::simd
 
-#endif  // x86
+#endif  // __SSE2__

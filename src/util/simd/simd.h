@@ -1,58 +1,51 @@
 #pragma once
 
-/// Runtime CPU-dispatched SIMD kernels for the hot inner loops: simplex
-/// gather dot-products and scatter updates (SparseMatrix / BasisLu), the
-/// presolve row-activity accumulation, wall-crossing segment classification
-/// and batched path-loss distance evaluation.
+/// SIMD kernels for the hot inner loops: simplex gather dot-products and
+/// scatter updates (SparseMatrix / BasisLu), the presolve row-activity
+/// accumulation, wall-crossing segment classification and batched
+/// path-loss distance evaluation.
 ///
-/// Dispatch model
-/// --------------
-/// A single function-pointer table (`Kernels`) is selected once per process:
-/// the widest ISA the host supports among the variants compiled in (AVX2 >
-/// SSE2 > scalar on x86-64, NEON > scalar on aarch64), overridable with the
-/// `WNET_SIMD` environment variable (`scalar`, `sse2`, `avx2`, `neon`) or
-/// programmatically via `set_level()`. The scalar variant is always
-/// available and is the reference implementation.
+/// Kernel sets
+/// -----------
+/// Two sets exist and each build uses exactly one, fixed at compile time:
+/// the SSE2 set (`kernels_sse2.cpp`) wherever the compiler targets SSE2
+/// (`__SSE2__`, the x86-64 baseline), the scalar reference
+/// (`kernels_scalar.cpp`) everywhere else. There is no runtime dispatch
+/// and no override: `kernels()` is an inline reference to the compiled
+/// table. Wider sets (AVX2, NEON) were measured and removed: the SSE2 set
+/// matched AVX2 end to end, while the scalar set alone made table1-cost
+/// setup ~84% slower (see EXPERIMENTS.md).
 ///
 /// Determinism contract
 /// --------------------
 /// Every kernel is specified as a fixed computation over four logical
-/// lanes with a fixed reduction order, and every ISA variant implements
-/// that specification operation-for-operation. Outputs are therefore
-/// bit-identical across scalar/SSE2/AVX2/NEON — the repo's byte-identical
-/// report guarantee extends across dispatch levels, not just thread counts.
-/// Concretely:
+/// lanes with a fixed reduction order, and the SSE2 set implements that
+/// specification operation-for-operation. Outputs are therefore
+/// bit-identical between the two sets, so a report does not depend on
+/// which one a build compiled in. Concretely:
 ///
 ///  - Accumulating kernels (`gather_dot`, `row_activity`): logical lane
 ///    `l` sums the elements `i` with `i % 4 == l` in increasing `i`; the
 ///    final reduction is `(lane0 + lane2) + (lane1 + lane3)` (the natural
-///    order for a 256-bit extract-high/add-low as well as for two 128-bit
-///    registers). The tail (`n % 4` trailing elements) is folded into
-///    lanes `0..n%4-1` after the vector loop, exactly one extra addend per
-///    lane.
+///    order for two 128-bit registers). The tail (`n % 4` trailing
+///    elements) is folded into lanes `0..n%4-1` after the vector loop,
+///    exactly one extra addend per lane.
 ///  - Element-wise kernels (`scatter_axpy`, `dense_axpy`, `pair_distances`,
 ///    `segment_classify`): one IEEE rounding per arithmetic step, never
-///    fused. All kernel translation units are compiled with
-///    `-ffp-contract=off` and the vector variants use explicit non-FMA
-///    instructions, so a multiply-add is always round(round(a*b) + c).
+///    fused. Both kernel translation units are compiled with
+///    `-ffp-contract=off` and the SSE2 set has no FMA instructions, so a
+///    multiply-add is always round(round(a*b) + c).
 ///  - min/max follow the x86 MINPD/MAXPD selection rule
-///    `min(x,y) = x < y ? x : y` (second operand on ties/NaN); the NEON
-///    variant implements this with compare+select rather than `vminq_f64`.
+///    `min(x,y) = x < y ? x : y` (second operand on ties/NaN).
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace wnet::util::simd {
 
-/// Dispatch levels, ordered narrow to wide. kNeon and kSse2/kAvx2 are
-/// mutually exclusive per architecture; only levels compiled in AND
-/// supported by the host CPU are selectable.
+/// The kernel set a build compiled in (see "Kernel sets" above).
 enum class Level : int {
   kScalar = 0,
   kSse2 = 1,
-  kAvx2 = 2,
-  kNeon = 3,
 };
 
 /// Kernel table. All pointers are always non-null.
@@ -97,58 +90,35 @@ struct Kernels {
                          double y0, double* out);
 };
 
-/// The active kernel table (never null; scalar before first dispatch
-/// resolution completes). Cheap: one atomic acquire load.
-const Kernels& kernels();
-
-/// Currently active dispatch level.
-Level active_level();
-
-/// Forces a dispatch level. Returns false (and leaves the level unchanged)
-/// if the level was not compiled in or the host CPU lacks it. Thread-safe,
-/// but intended for startup / tests — switching mid-solve is benign for
-/// correctness (all levels are bit-identical) yet confusing for telemetry.
-bool set_level(Level level);
-
-/// Levels usable on this host (compiled in + CPU-supported), narrow to wide.
-std::vector<Level> supported_levels();
-
-/// Widest usable level on this host.
-Level widest_supported();
-
-/// "scalar" / "sse2" / "avx2" / "neon".
-const char* level_name(Level level);
-
-/// Inverse of level_name; returns false on unknown names.
-bool parse_level(const std::string& name, Level* out);
-
-/// RAII forcing of a dispatch level (tests, benchmark pairs). Restores the
-/// previous level on destruction. `ok()` is false if the level was
-/// unavailable, in which case nothing changed.
-class ScopedLevel {
- public:
-  explicit ScopedLevel(Level level) : prev_(active_level()), ok_(set_level(level)) {}
-  ~ScopedLevel() {
-    if (ok_) set_level(prev_);
-  }
-  ScopedLevel(const ScopedLevel&) = delete;
-  ScopedLevel& operator=(const ScopedLevel&) = delete;
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  Level prev_;
-  bool ok_;
-};
-
 namespace detail {
-/// Per-ISA tables, defined in the kernels_<isa>.cpp translation units.
-/// Declared unconditionally (the extern declarations also give the
-/// definitions external linkage); the dispatcher only references the ones
-/// whose TUs are compiled in, gated by WNET_SIMD_HAVE_* defines.
+/// Per-set tables, defined in the kernels_<set>.cpp translation units.
 extern const Kernels kScalarKernels;
+#if defined(__SSE2__)
 extern const Kernels kSse2Kernels;
-extern const Kernels kAvx2Kernels;
-extern const Kernels kNeonKernels;
+#endif
 }  // namespace detail
+
+/// The kernel set this build compiled in.
+constexpr Level active_level() {
+#if defined(__SSE2__)
+  return Level::kSse2;
+#else
+  return Level::kScalar;
+#endif
+}
+
+/// The kernel table of active_level().
+inline const Kernels& kernels() {
+#if defined(__SSE2__)
+  return detail::kSse2Kernels;
+#else
+  return detail::kScalarKernels;
+#endif
+}
+
+/// "scalar" / "sse2".
+constexpr const char* level_name(Level level) {
+  return level == Level::kSse2 ? "sse2" : "scalar";
+}
 
 }  // namespace wnet::util::simd

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "channel/propagation.h"
 #include "core/solution.h"
 #include "core/workloads/scenarios.h"
@@ -151,17 +156,22 @@ TEST_F(ExplorerScenario, DsodObjectiveSelectsServingAnchors) {
   EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? "" : rep.violations[0]);
 }
 
-TEST(ExplorerTimeLimit, BoundsTheWholeCall) {
-  // A 40-sensor data-collection design over a 12x10 relay grid does not
-  // certify within a second, and its warm-start probe alone takes most of
-  // that second. The limit must bound encode, probe and main solve
-  // together: the main solve gets only what the other two left.
+/// A 40-sensor data-collection design over a 12x10 relay grid: it does not
+/// certify within a second, and its warm-start probe alone runs for most of
+/// a second at K*=10 and for seconds at K*=20.
+std::unique_ptr<workloads::Scenario> forty_sensor_design() {
   workloads::DataCollectionConfig cfg;
   cfg.sensors = 40;
   cfg.relay_grid_x = 12;
   cfg.relay_grid_y = 10;
   cfg.seed = 2;
-  const auto sc = workloads::make_data_collection(cfg);
+  return workloads::make_data_collection(cfg);
+}
+
+TEST(ExplorerTimeLimit, BoundsTheWholeCall) {
+  // The limit must bound encode, probe and main solve together: the main
+  // solve gets only what the other two left.
+  const auto sc = forty_sensor_design();
   const Explorer ex(*sc->tmpl, sc->spec);
   EncoderOptions eo;
   eo.k_star = 10;
@@ -176,12 +186,7 @@ TEST(ExplorerTimeLimit, BoundsTheWholeRung) {
   // The same design as one rung of an incremental K* ladder, with no
   // carried incumbent, so the fixed-routing probe runs: encode, probe and
   // main solve together must stay within the rung's time limit.
-  workloads::DataCollectionConfig cfg;
-  cfg.sensors = 40;
-  cfg.relay_grid_x = 12;
-  cfg.relay_grid_y = 10;
-  cfg.seed = 2;
-  const auto sc = workloads::make_data_collection(cfg);
+  const auto sc = forty_sensor_design();
   const Explorer ex(*sc->tmpl, sc->spec);
   EncoderOptions eo;
   IncrementalEncoder session(*sc->tmpl, sc->spec, eo);
@@ -191,6 +196,79 @@ TEST(ExplorerTimeLimit, BoundsTheWholeRung) {
   const auto res = ex.explore_rung(session, 10, carry, so);
   EXPECT_NE(res.status, milp::SolveStatus::kOptimal);
   EXPECT_LE(res.total_time_s, so.time_limit_s + 0.5);
+}
+
+/// Delegates to `inner`, but its first batch call stalls for `stall_s`. A
+/// template builds its path-loss cache inside the first encode, so on a
+/// fresh template the stall is spent in encode.
+class StallingModel final : public channel::PropagationModel {
+ public:
+  StallingModel(const channel::PropagationModel& inner, double stall_s)
+      : inner_(&inner), stall_s_(stall_s) {}
+
+  [[nodiscard]] double path_loss_db(geom::Vec2 tx, geom::Vec2 rx) const override {
+    return inner_->path_loss_db(tx, rx);
+  }
+
+  void path_loss_batch(geom::Vec2 tx, const double* xs, const double* ys, int n,
+                       double* out) const override {
+    if (!stalled_.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(stall_s_));
+    }
+    inner_->path_loss_batch(tx, xs, ys, n, out);
+  }
+
+ private:
+  const channel::PropagationModel* inner_;
+  double stall_s_;
+  mutable std::atomic<bool> stalled_{false};
+};
+
+/// The 40-sensor design re-homed on a StallingModel whose stall outlasts
+/// the 1 s limit the tests below give, so encode alone uses up the limit.
+/// Neither the probe nor the main solve may then do any work; a probe
+/// handed the uncapped options instead runs for the whole limit (at K*=20
+/// it needs longer than that to finish).
+class StalledEncode : public ::testing::Test {
+ protected:
+  static constexpr double kLimitS = 1.0;
+  static constexpr double kStallS = 1.2;
+
+  StalledEncode()
+      : sc_(forty_sensor_design()), model_(*sc_->model, kStallS), tmpl_(model_, sc_->library) {
+    tmpl_.set_link_cutoff_rss_dbm(sc_->tmpl->link_cutoff_rss_dbm());
+    for (const TemplateNode& n : sc_->tmpl->nodes()) tmpl_.add_node(n);
+  }
+
+  /// Wall time the call spent beyond the stall and the encode proper.
+  [[nodiscard]] static double after_encode_s(const ExplorationResult& res) {
+    return res.total_time_s - kStallS - res.encode_stats.encode_time_s;
+  }
+
+  std::unique_ptr<workloads::Scenario> sc_;
+  StallingModel model_;
+  NetworkTemplate tmpl_;
+};
+
+TEST_F(StalledEncode, LeavesTheProbeNoTime) {
+  const Explorer ex(tmpl_, sc_->spec);
+  EncoderOptions eo;
+  eo.k_star = 20;
+  milp::SolveOptions so;
+  so.time_limit_s = kLimitS;
+  const auto res = ex.explore(eo, so);
+  EXPECT_LT(after_encode_s(res), 0.5 * kLimitS);
+}
+
+TEST_F(StalledEncode, LeavesTheRungProbeNoTime) {
+  const Explorer ex(tmpl_, sc_->spec);
+  EncoderOptions eo;
+  IncrementalEncoder session(tmpl_, sc_->spec, eo);
+  Explorer::RungCarry carry;
+  milp::SolveOptions so;
+  so.time_limit_s = kLimitS;
+  const auto res = ex.explore_rung(session, 20, carry, so);
+  EXPECT_LT(after_encode_s(res), 0.5 * kLimitS);
 }
 
 }  // namespace
