@@ -11,7 +11,6 @@
 #include "util/obs/json.h"
 #include "util/obs/trace.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace wnet::archex {
 
@@ -123,40 +122,45 @@ EncodedProblem Explorer::encode(const EncoderOptions& eopts) const {
   return enc.encode();
 }
 
-ExplorationResult Explorer::explore(const EncoderOptions& eopts,
-                                    const milp::SolveOptions& sopts) const {
-  util::Stopwatch clock;
-  ExplorationResult out;
+namespace {
 
-  Encoder enc(*tmpl_, *spec_, eopts);
-  EncodedProblem ep = enc.encode();
+/// The solve every explore() and explore_rung() call ends in, after its
+/// encode: lazy-separation install, fixed-routing probe when the caller
+/// brought no MIP start, main solve, decode. `clock` started with the call,
+/// so sopts.time_limit_s bounds encode, probe and solve together. A
+/// solution updates `carry` when one is given.
+ExplorationResult solve_encoded(const NetworkTemplate& tmpl, const Specification& spec,
+                                const EncodedProblem& ep, bool lazy_separation,
+                                milp::SolveOptions sopts, const util::Stopwatch& clock,
+                                Explorer::RungCarry* carry) {
+  ExplorationResult out;
   out.encode_stats = ep.stats;
   if (ep.stats.termination != util::exec::TerminationReason::kCompleted) {
-    // The encode aborted: its partial model must not be solved. Report the
-    // stop reason with the empty anytime certificate.
+    // The encode stopped or aborted: its model must not be solved. Report
+    // the stop reason with the empty anytime certificate.
     out.termination = ep.stats.termination;
     out.total_time_s = clock.seconds();
     return out;
   }
-
-  milp::SolveOptions main_opts = sopts;
-  if (eopts.lazy_separation) {
-    // The omitted row families come back as separation callbacks. They are
-    // installed before the warm-start probe runs so the probe's restricted
-    // solve (same var ids) is gated by the same lazy constraints and never
-    // hands back a lazily-infeasible seed.
-    LazySeparation(*tmpl_, ep).install(main_opts);
+  if (lazy_separation) {
+    // The omitted row families come back as separation callbacks, rebuilt
+    // per call so the snapshot covers every selector of the current model.
+    // They are installed before the warm-start probe runs so the probe's
+    // restricted solve (same var ids) is gated by the same lazy constraints
+    // and never hands back a lazily-infeasible seed.
+    LazySeparation(tmpl, ep).install(sopts);
   }
-  // time_limit_s bounds the whole call: the probe may not run past what
-  // encode left of it, and the main solve gets only what remains after both.
-  const auto remaining_s = [&] { return std::max(0.0, sopts.time_limit_s - clock.seconds()); };
-  if (main_opts.mip_start.empty()) {
-    milp::SolveOptions probe_opts = main_opts;
+  // The probe may not run past what encode left of the call's budget, and
+  // the main solve gets only what remains after both.
+  const double limit_s = sopts.time_limit_s;
+  const auto remaining_s = [&] { return std::max(0.0, limit_s - clock.seconds()); };
+  if (sopts.mip_start.empty()) {
+    milp::SolveOptions probe_opts = sopts;
     probe_opts.exec.deadline = sopts.exec.deadline.tightened(remaining_s());
-    main_opts.mip_start = fixed_routing_start(ep, probe_opts);
+    sopts.mip_start = fixed_routing_start(ep, probe_opts);
   }
-  main_opts.time_limit_s = remaining_s();
-  const milp::MipResult res = milp::solve(ep.model, main_opts);
+  sopts.time_limit_s = remaining_s();
+  const milp::MipResult res = milp::solve(ep.model, sopts);
   out.status = res.status;
   out.solve_stats = res.stats;
   out.termination = res.stats.termination;
@@ -164,156 +168,90 @@ ExplorationResult Explorer::explore(const EncoderOptions& eopts,
   out.gap = res.stats.gap;
   if (res.has_solution()) {
     out.objective = res.objective;
-    out.architecture = decode_solution(ep, *tmpl_, *spec_, res.x);
+    out.architecture = decode_solution(ep, tmpl, spec, res.x);
+    if (carry != nullptr) {
+      carry->x = res.x;
+      carry->objective = res.objective;
+    }
   }
   out.total_time_s = clock.seconds();
   return out;
 }
 
+}  // namespace
+
+ExplorationResult Explorer::explore(const EncoderOptions& eopts,
+                                    const milp::SolveOptions& sopts) const {
+  const util::Stopwatch clock;
+  // The Encoder's Yen state and graph copies die with this statement, before
+  // the solve starts.
+  const EncodedProblem ep = Encoder(*tmpl_, *spec_, eopts).encode();
+  return solve_encoded(*tmpl_, *spec_, ep, eopts.lazy_separation, sopts, clock, nullptr);
+}
+
 ExplorationResult Explorer::explore_rung(IncrementalEncoder& session, int k, RungCarry& carry,
                                          const milp::SolveOptions& sopts) const {
-  util::Stopwatch rung_clock;
+  const util::Stopwatch clock;
   util::obs::ScopedSpan rung_span("kstar/rung", "explore");
   rung_span.arg("k", k);
-  ExplorationResult er;
-  EncodedProblem& ep = session.encode_k(k);
-  er.encode_stats = ep.stats;
-  if (ep.stats.termination != util::exec::TerminationReason::kCompleted) {
-    // Stopped (or aborted) encode: report the reason, never solve.
-    er.termination = ep.stats.termination;
-    er.total_time_s = rung_clock.seconds();
-    return er;
-  }
+  const EncodedProblem& ep = session.encode_k(k);
   milp::SolveOptions so = sopts;
-  if (session.options().lazy_separation) {
-    // Rebuilt per rung: a delta extend grows the candidate list, and the
-    // separator snapshot must cover every selector of the current model.
-    LazySeparation(*tmpl_, ep).install(so);
-  }
-  // time_limit_s bounds the whole rung, as in explore(): the probe may not
-  // run past what encode left of it, and the main solve gets only what
-  // remains after both.
-  const auto remaining_s = [&] {
-    return std::max(0.0, sopts.time_limit_s - rung_clock.seconds());
-  };
   if (so.mip_start.empty()) {
-    std::vector<double> ext = session.extend_assignment(carry.x);
-    if (!ext.empty()) {
-      so.mip_start = std::move(ext);
-      so.cutoff = carry.objective;
-    } else {
-      milp::SolveOptions probe_opts = so;
-      probe_opts.exec.deadline = sopts.exec.deadline.tightened(remaining_s());
-      so.mip_start = fixed_routing_start(ep, probe_opts);
-    }
+    // A delta-extended model takes the previous rung's incumbent as its
+    // start and that objective as a cutoff; a rebuilt one extends nothing
+    // and falls back to the probe.
+    so.mip_start = session.extend_assignment(carry.x);
+    if (!so.mip_start.empty()) so.cutoff = carry.objective;
   }
-  so.time_limit_s = remaining_s();
-  const milp::MipResult res = milp::solve(ep.model, so);
-  er.status = res.status;
-  er.solve_stats = res.stats;
-  er.termination = res.stats.termination;
-  er.bound = res.stats.bound;
-  er.gap = res.stats.gap;
-  if (res.has_solution()) {
-    er.objective = res.objective;
-    er.architecture = decode_solution(ep, *tmpl_, *spec_, res.x);
-    carry.x = res.x;
-    carry.objective = res.objective;
-  }
-  er.total_time_s = rung_clock.seconds();
-  return er;
+  return solve_encoded(*tmpl_, *spec_, ep, session.options().lazy_separation, std::move(so),
+                       clock, &carry);
 }
 
 Explorer::KStarSearchResult Explorer::search_k_star(const KStarSearchOptions& kopts,
                                                     EncoderOptions eopts,
                                                     const milp::SolveOptions& sopts) const {
-  KStarSearchResult out;
   eopts.mode = EncoderOptions::PathMode::kApprox;
-  const int n = static_cast<int>(kopts.ladder.size());
-
-  // Parallel mode speculatively evaluates every rung up front (each rung
-  // is an independent encode + solve); the serial selection scan below
-  // then consumes rung i from `evaluated[i]` instead of exploring lazily.
-  // Selection order, improvement rule and tie-breaks are shared with the
-  // serial path verbatim, so the winner is identical for any thread count
-  // — parallelism buys wall clock at the price of evaluating rungs a
-  // serial run would have skipped after its early exit.
-  std::vector<ExplorationResult> evaluated;
-  if (kopts.threads > 1) {
-    const util::ParallelExecutor exec(kopts.threads);
-    evaluated = exec.map<ExplorationResult>(n, [&](int i) {
-      EncoderOptions eo = eopts;
-      eo.k_star = kopts.ladder[static_cast<size_t>(i)];
-      // Speculative rungs run on worker threads: strip the checkpoint
-      // injector (poll-only), per the exec determinism contract.
-      eo.exec = eo.exec.worker_view();
-      milp::SolveOptions so = sopts;
-      so.exec = so.exec.worker_view();
-      util::obs::ScopedSpan rung_span("kstar/rung", "explore");
-      rung_span.arg("k", eo.k_star);
-      return explore(eo, so);
-    });
-  }
-
-  // Serial incremental mode: one encoding session spans the ladder, so a
-  // rung delta-extends the previous model instead of re-running Yen and
-  // rebuilding. Cross-solve reuse rides along: the previous incumbent,
-  // zero-extended over the appended variables, seeds the solve, and its
-  // objective becomes a primal cutoff (sound because a successful delta
-  // grows the feasible set — the optimum can only improve).
+  // Incremental mode: one encoding session spans the ladder, so a rung
+  // delta-extends the previous model instead of re-running Yen and
+  // rebuilding, and starts from the previous rung's incumbent and cutoff.
+  // Otherwise each rung gets a fresh session and runs as explore() would.
   std::unique_ptr<IncrementalEncoder> session;
-  if (kopts.threads <= 1 && kopts.incremental) {
-    session = std::make_unique<IncrementalEncoder>(*tmpl_, *spec_, eopts);
-  }
   RungCarry carry;
-
-  double best_obj = milp::kInf;
-  for (int i = 0; i < n; ++i) {
-    // Scan-boundary checkpoint on the serial spine (rung solves themselves
-    // poll the same token): a stop keeps everything scanned so far.
-    util::exec::TerminationReason scan_why = util::exec::TerminationReason::kCompleted;
-    if (sopts.exec.checkpoint(&scan_why)) {
-      out.termination = scan_why;
+  KStarScan scan(kopts.min_improvement);
+  for (const int k : kopts.ladder) {
+    // Ladder-boundary checkpoint (rung solves poll the same token): a stop
+    // keeps everything scanned so far.
+    util::exec::TerminationReason why = util::exec::TerminationReason::kCompleted;
+    if (sopts.exec.checkpoint(&why)) {
+      scan.stop(why);
       break;
     }
-    const int k = kopts.ladder[static_cast<size_t>(i)];
-    ExplorationResult r;
-    if (kopts.threads > 1) {
-      r = std::move(evaluated[static_cast<size_t>(i)]);
-    } else if (session) {
-      r = explore_rung(*session, k, carry, sopts);
-    } else {
-      eopts.k_star = k;
-      util::obs::ScopedSpan rung_span("kstar/rung", "explore");
-      rung_span.arg("k", k);
-      r = explore(eopts, sopts);
+    if (!session || !kopts.incremental) {
+      session.reset();
+      session = std::make_unique<IncrementalEncoder>(*tmpl_, *spec_, eopts);
     }
-    out.trace.emplace_back(k, r);
-    const util::exec::TerminationReason rung_term = r.termination;
-    const bool improved =
-        r.has_solution() &&
-        (best_obj == milp::kInf ||
-         r.objective < best_obj - kopts.min_improvement * std::max(1.0, std::abs(best_obj)));
-    if (improved) {
-      best_obj = r.objective;
-      out.chosen_k = k;
-      out.best = std::move(r);
-    }
-    // A rung cut short by the request control ends the ladder with that
-    // reason — later rungs would be cut the same way. This outranks the
-    // natural stop rules below, which describe a *finished* search.
-    if (rung_term == util::exec::TerminationReason::kDeadline ||
-        rung_term == util::exec::TerminationReason::kCancelled ||
-        rung_term == util::exec::TerminationReason::kNodeLimit) {
-      out.termination = rung_term;
-      break;
-    }
-    if (!improved && out.chosen_k != 0) {
-      break;  // no meaningful improvement: stop the ladder (Sec. 4.3 rule)
-    }
-    if (out.trace.back().second.total_time_s > kopts.time_threshold_s) break;
+    if (!scan.step(k, explore_rung(*session, k, carry, sopts))) break;
+    if (scan.result().trace.back().second.total_time_s > kopts.time_threshold_s) break;
   }
-  return out;
+  return scan.take();
+}
+
+bool KStarScan::step(int k, ExplorationResult r) {
+  const util::exec::TerminationReason term = r.termination;
+  const double best = out_.best.objective;
+  improved_ = r.has_solution() &&
+              (!out_.best.has_solution() ||
+               r.objective < best - min_improvement_ * std::max(1.0, std::abs(best)));
+  out_.trace.emplace_back(k, r);
+  if (improved_) {
+    out_.chosen_k = k;
+    out_.best = std::move(r);
+  }
+  if (cut_short(term)) {
+    out_.termination = term;
+    return false;
+  }
+  return improved_ || out_.chosen_k == 0;  // no meaningful improvement: stop (Sec. 4.3)
 }
 
 }  // namespace wnet::archex

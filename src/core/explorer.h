@@ -62,25 +62,21 @@ class Explorer {
 
   /// Systematic K* selection (paper Sec. 4.3): explore with increasing K*
   /// until the run time exceeds `time_threshold_s` or the objective stops
-  /// improving by more than `min_improvement` (relative).
+  /// improving by more than `min_improvement` (relative). Rungs run one
+  /// after another through explore_rung, and the ladder stops early.
   struct KStarSearchOptions {
     std::vector<int> ladder = {1, 3, 5, 10, 20};
     double time_threshold_s = 600.0;
     double min_improvement = 1e-3;
-    /// Worker threads: > 1 evaluates every ladder rung concurrently, then
-    /// replays the serial selection scan (same improvement rule, same
-    /// tie-break order) over the per-rung results — chosen_k, best and the
-    /// trace come out identical to a serial run. The serial path evaluates
-    /// rungs lazily and keeps its early exit.
-    int threads = 1;
-    /// Serial path only: carry one IncrementalEncoder session across the
-    /// ladder. Each rung delta-extends the previous model (resumable Yen,
-    /// appended selectors/rows) instead of re-encoding, installs the
-    /// previous rung's incumbent as a MIP start, and — because a successful
-    /// delta makes the feasible set a superset of the previous rung's — its
-    /// objective as a primal cutoff. chosen_k and objectives match the
-    /// non-incremental scan; tie-broken architectures may differ. Ignored
-    /// when threads > 1 (speculative rungs are independent by design).
+    /// Carry one IncrementalEncoder session across the ladder. Each rung
+    /// delta-extends the previous model (resumable Yen, appended
+    /// selectors/rows) instead of re-encoding, installs the previous rung's
+    /// incumbent as a MIP start, and — because a successful delta makes the
+    /// feasible set a superset of the previous rung's — its objective as a
+    /// primal cutoff. false is the reference scan: every rung gets a fresh
+    /// session, which never deltas, so each rung runs exactly what explore()
+    /// runs. chosen_k and objectives match between the two; tie-broken
+    /// architectures may differ.
     bool incremental = true;
   };
   struct KStarSearchResult {
@@ -109,18 +105,19 @@ class Explorer {
     double objective = milp::kInf;
   };
 
-  /// One rung of an incremental K* ladder against a caller-owned session:
-  /// delta-extends (or builds) the session's model to k_star = k, installs
-  /// the carried incumbent as MIP start + cutoff (falling back to the
-  /// fixed-routing heuristic when the carry does not extend), solves, and
-  /// updates `carry` on success. This is the building block search_k_star's
-  /// serial incremental path and the solve daemon's session cache share:
-  /// the daemon keeps the session (and the carry) alive across requests so
-  /// repeated or extended ladders resume instead of re-deriving.
+  /// One rung of a K* ladder against a caller-owned session: delta-extends
+  /// (or builds) the session's model to k_star = k, installs the carried
+  /// incumbent as MIP start + cutoff (falling back to the fixed-routing
+  /// heuristic when the carry does not extend), solves, and updates `carry`
+  /// on success. Past the encode it runs the same solve as explore(). This
+  /// is the rung both search_k_star and the solve daemon's session cache
+  /// drive: the daemon keeps the session (and the carry) alive across
+  /// requests so repeated or extended ladders resume instead of re-deriving.
   ///
   /// The session must have been constructed against this explorer's
   /// template and specification; its options govern lazy separation and
-  /// encoding mode. Respects `sopts.exec` for cancellation/deadlines — on a
+  /// encoding mode. `sopts.time_limit_s` bounds the whole rung, encode
+  /// included. Respects `sopts.exec` for cancellation/deadlines — on a
   /// stopped encode the rung reports the reason and never solves.
   [[nodiscard]] ExplorationResult explore_rung(IncrementalEncoder& session, int k,
                                                RungCarry& carry,
@@ -199,5 +196,43 @@ class Explorer {
     const EncodedProblem& ep,
     const std::map<std::pair<int, int>, const CandidatePath*>& picked,
     const milp::SolveOptions& sopts);
+
+/// The selection rule of the Sec. 4.3 K* ladder, one rung at a time.
+/// search_k_star and the solve daemon both drive it, so they make identical
+/// selections; each adds only its own stop rules around it (search_k_star
+/// its wall-clock threshold, the daemon none, since a replayed rung takes
+/// no time).
+class KStarScan {
+ public:
+  explicit KStarScan(double min_improvement = Explorer::KStarSearchOptions{}.min_improvement)
+      : min_improvement_(min_improvement) {}
+
+  /// Records rung `k` in the trace and makes it the best when it improves
+  /// on the best by more than `min_improvement` (relative). Returns false
+  /// when the ladder stops here: the rung was cut short by the request
+  /// control (its reason becomes the scan's termination, outranking the
+  /// natural rule), or it did not improve on an existing best.
+  bool step(int k, ExplorationResult r);
+  /// Ends the scan at a ladder-boundary checkpoint that reported `why`.
+  void stop(util::exec::TerminationReason why) { out_.termination = why; }
+
+  /// Whether the last step() made its rung the new best.
+  [[nodiscard]] bool improved() const { return improved_; }
+  [[nodiscard]] const Explorer::KStarSearchResult& result() const { return out_; }
+  [[nodiscard]] Explorer::KStarSearchResult take() { return std::move(out_); }
+
+  /// A rung that ended this way was stopped by the request control; later
+  /// rungs would be cut the same way.
+  [[nodiscard]] static bool cut_short(util::exec::TerminationReason r) {
+    return r == util::exec::TerminationReason::kDeadline ||
+           r == util::exec::TerminationReason::kCancelled ||
+           r == util::exec::TerminationReason::kNodeLimit;
+  }
+
+ private:
+  double min_improvement_;
+  bool improved_ = false;
+  Explorer::KStarSearchResult out_;
+};
 
 }  // namespace wnet::archex

@@ -3,7 +3,7 @@
 // Wire protocol of the solve daemon: line-delimited JSON in both directions.
 //
 // Requests are one strict RFC 8259 object per line (parsed with
-// obs::json_parse, so anything json_error rejects is rejected here too):
+// obs::json_parse, the repo's one strict JSON grammar):
 //
 //   {"op": "solve", "id": "r1", "template": "scalable:40x15",
 //    "spec": "<optional spec text>", "ladder": [1, 3, 5],
@@ -15,8 +15,8 @@
 //   {"op": "shutdown"}
 //
 // Responses are one JSON object per line, every one of them produced by the
-// obs JsonWriter and re-validated against json_error before it reaches the
-// sink (a malformed emission is a programmer error, so it throws instead of
+// obs JsonWriter and re-parsed through json_error before it reaches the sink
+// (a malformed emission is a programmer error, so it throws instead of
 // corrupting the stream). Event kinds: accepted, rejected, rung, incumbent,
 // bound, result, failed, cancel_ack, stats, shutdown.
 //
@@ -90,7 +90,7 @@ class TemplateRegistry {
 
 // --- Event builders -------------------------------------------------------
 // Each returns one complete JSON object (no trailing newline). The service
-// validates every line through json_error before emitting.
+// re-parses every line through json_error before emitting.
 
 [[nodiscard]] std::string event_accepted(const std::string& id, int queue_depth);
 [[nodiscard]] std::string event_rejected(const std::string& id, const std::string& reason,

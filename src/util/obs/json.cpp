@@ -160,199 +160,6 @@ std::string JsonWriter::escape(std::string_view s) {
   return out;
 }
 
-// ---------------------------------------------------- strict RFC 8259 parse
-
-namespace {
-
-/// Recursive-descent validator over the raw bytes; no value tree is built.
-class Checker {
- public:
-  explicit Checker(std::string_view s) : s_(s) {}
-
-  std::optional<std::string> run() {
-    skip_ws();
-    if (auto e = parse_value(0)) return e;
-    skip_ws();
-    if (pos_ != s_.size()) return err("trailing garbage after top-level value");
-    return std::nullopt;
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  std::optional<std::string> err(const std::string& what) const {
-    return what + " at byte " + std::to_string(pos_);
-  }
-
-  [[nodiscard]] bool eof() const { return pos_ >= s_.size(); }
-  [[nodiscard]] char peek() const { return s_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' || peek() == '\r')) ++pos_;
-  }
-
-  bool consume(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  std::optional<std::string> parse_value(int depth) {
-    if (depth > kMaxDepth) return err("nesting too deep");
-    if (eof()) return err("unexpected end of input");
-    switch (peek()) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return parse_string();
-      case 't': return consume("true") ? std::nullopt : err("invalid literal");
-      case 'f': return consume("false") ? std::nullopt : err("invalid literal");
-      case 'n': return consume("null") ? std::nullopt : err("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  std::optional<std::string> parse_object(int depth) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return std::nullopt;
-    }
-    for (;;) {
-      skip_ws();
-      if (eof() || peek() != '"') return err("expected object key string");
-      if (auto e = parse_string()) return e;
-      skip_ws();
-      if (eof() || peek() != ':') return err("expected ':' after key");
-      ++pos_;
-      skip_ws();
-      if (auto e = parse_value(depth + 1)) return e;
-      skip_ws();
-      if (eof()) return err("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return std::nullopt;
-      }
-      return err("expected ',' or '}' in object");
-    }
-  }
-
-  std::optional<std::string> parse_array(int depth) {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return std::nullopt;
-    }
-    for (;;) {
-      skip_ws();
-      if (auto e = parse_value(depth + 1)) return e;
-      skip_ws();
-      if (eof()) return err("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return std::nullopt;
-      }
-      return err("expected ',' or ']' in array");
-    }
-  }
-
-  std::optional<std::string> parse_string() {
-    ++pos_;  // '"'
-    while (!eof()) {
-      const auto u = static_cast<unsigned char>(peek());
-      if (u < 0x20) return err("unescaped control character in string");
-      if (peek() == '"') {
-        ++pos_;
-        return std::nullopt;
-      }
-      if (peek() == '\\') {
-        ++pos_;
-        if (eof()) return err("truncated escape");
-        const char e = peek();
-        if (e == 'u') {
-          ++pos_;
-          uint32_t cp = 0;
-          if (auto err4 = hex4(&cp)) return err4;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a low surrogate escape must follow.
-            if (eof() || peek() != '\\' || pos_ + 1 >= s_.size() || s_[pos_ + 1] != 'u') {
-              return err("lone high surrogate");
-            }
-            pos_ += 2;
-            uint32_t lo = 0;
-            if (auto err4 = hex4(&lo)) return err4;
-            if (lo < 0xDC00 || lo > 0xDFFF) return err("invalid low surrogate");
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return err("lone low surrogate");
-          }
-          continue;
-        }
-        if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' && e != 'n' && e != 'r' &&
-            e != 't') {
-          return err("invalid escape character");
-        }
-      }
-      ++pos_;
-    }
-    return err("unterminated string");
-  }
-
-  std::optional<std::string> hex4(uint32_t* out) {
-    *out = 0;
-    for (int i = 0; i < 4; ++i, ++pos_) {
-      if (eof() || !std::isxdigit(static_cast<unsigned char>(peek()))) {
-        return err("invalid \\u escape");
-      }
-      const char c = peek();
-      const uint32_t d = (c >= '0' && c <= '9') ? static_cast<uint32_t>(c - '0')
-                                                : static_cast<uint32_t>((c | 0x20) - 'a' + 10);
-      *out = (*out << 4) | d;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<std::string> parse_number() {
-    // number = [-] int [frac] [exp]; leading zeros, '+', bare '.', and the
-    // inf/nan spellings are all rejected here.
-    const auto digit = [this] { return !eof() && peek() >= '0' && peek() <= '9'; };
-    if (!eof() && peek() == '-') ++pos_;
-    if (!digit()) return err("invalid number");
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (!digit()) return err("digits required after decimal point");
-      while (digit()) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (!digit()) return err("digits required in exponent");
-      while (digit()) ++pos_;
-    }
-    return std::nullopt;
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<std::string> json_error(std::string_view text) { return Checker(text).run(); }
-
 // ------------------------------------------------------- JsonValue / parse
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -387,9 +194,8 @@ bool JsonValue::get_bool(std::string_view key, bool fallback) const {
   return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
 }
 
-/// Recursive-descent parser building a JsonValue tree. Mirrors Checker's
-/// grammar exactly; the two stay in lockstep so json_parse succeeds iff
-/// json_error returns nullopt.
+/// Recursive-descent strict RFC 8259 parser building a JsonValue tree: the
+/// one grammar behind both json_parse and json_error.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view s) : s_(s) {}
@@ -645,6 +451,12 @@ class JsonParser {
 
 std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
   return JsonParser(text).run(error);
+}
+
+std::optional<std::string> json_error(std::string_view text) {
+  std::string error;
+  if (json_parse(text, &error)) return std::nullopt;
+  return error;
 }
 
 }  // namespace wnet::util::obs

@@ -18,8 +18,9 @@
 // Output style is compact-with-spaces — `{"a": 1, "b": [1, 2]}` — matching
 // the repo's existing emitters and the sscanf-based baseline loaders.
 //
-// json_error() is the matching strict RFC 8259 validator used by tests and
-// fuzz harnesses; it accepts exactly what python -m json.tool accepts.
+// json_parse() is the matching strict RFC 8259 reader, and json_error() the
+// validator over it used by tests and fuzz harnesses; both accept exactly
+// what python -m json.tool accepts.
 
 #include <charconv>
 #include <memory>
@@ -111,7 +112,8 @@ class JsonWriter {
 /// one valid JSON value (plus surrounding whitespace), or a human-readable
 /// error with byte offset otherwise. Rejects everything Python's json.tool
 /// rejects: bare inf/nan, trailing commas, single quotes, leading zeros,
-/// unescaped control characters, trailing garbage.
+/// unescaped control characters, trailing garbage. The error is
+/// json_parse()'s: one grammar serves both.
 [[nodiscard]] std::optional<std::string> json_error(std::string_view text);
 
 [[nodiscard]] inline bool json_valid(std::string_view text) {
@@ -119,11 +121,10 @@ class JsonWriter {
 }
 
 /// A parsed JSON value tree — the read side of the obs layer, added for the
-/// solve daemon's line-delimited request protocol. json_parse() accepts
-/// exactly the grammar json_error() accepts (strict RFC 8259: no bare
-/// inf/nan, no trailing garbage, full escape decoding including surrogate
-/// pairs), so anything the daemon admits could have been produced by the
-/// JsonWriter and vice versa.
+/// solve daemon's line-delimited request protocol. json_parse() reads strict
+/// RFC 8259 (no bare inf/nan, no trailing garbage, full escape decoding
+/// including surrogate pairs), so anything the daemon admits could have been
+/// produced by the JsonWriter and vice versa.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -169,7 +170,7 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/// Strict parse of exactly one JSON value (same grammar as json_error).
+/// Strict parse of exactly one JSON value (plus surrounding whitespace).
 /// Returns nullopt and fills `error` (if non-null) with a human-readable
 /// message + byte offset on any violation.
 [[nodiscard]] std::optional<JsonValue> json_parse(std::string_view text,

@@ -115,9 +115,11 @@ TEST(EtxStaircase, ConservativeUpperApproximation) {
 }
 
 TEST(EtxStaircase, RejectsBadArguments) {
-  EXPECT_THROW(build_etx_staircase(Modulation::kQpsk, 50, 0.0, 20.0, 1), std::invalid_argument);
-  EXPECT_THROW(build_etx_staircase(Modulation::kQpsk, 50, 5.0, 5.0, 4), std::invalid_argument);
-  EXPECT_THROW(etx_staircase_lookup({}, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)build_etx_staircase(Modulation::kQpsk, 50, 0.0, 20.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)build_etx_staircase(Modulation::kQpsk, 50, 5.0, 5.0, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)etx_staircase_lookup({}, 1.0), std::invalid_argument);
 }
 
 }  // namespace

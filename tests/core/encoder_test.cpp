@@ -80,10 +80,20 @@ TEST_F(TinyScenario, FullAndApproxAgreeOnOptimalCost) {
   EXPECT_NEAR(approx.objective, full.objective, 1e-6);
 }
 
+/// The encoder options the problem-size tests compare under.
+EncoderOptions size_options(EncoderOptions::PathMode mode) {
+  EncoderOptions o;
+  o.mode = mode;
+  o.k_star = 5;
+  o.loc_candidates = 20;
+  o.lq_prefilter = true;
+  return o;
+}
+
 TEST_F(TinyScenario, ApproxProblemIsSmaller) {
   spec_.link_quality.min_snr_db = 20.0;
-  Encoder full(tmpl_, spec_, {EncoderOptions::PathMode::kFull, 5, 20, true});
-  Encoder approx(tmpl_, spec_, {EncoderOptions::PathMode::kApprox, 5, 20, true});
+  Encoder full(tmpl_, spec_, size_options(EncoderOptions::PathMode::kFull));
+  Encoder approx(tmpl_, spec_, size_options(EncoderOptions::PathMode::kApprox));
   const auto fs = full.encode().stats;
   const auto as = approx.encode().stats;
   EXPECT_LT(as.num_constrs, fs.num_constrs);
@@ -178,7 +188,7 @@ TEST_F(TinyScenario, KStarSearchImprovesOrStops) {
 
 TEST_F(TinyScenario, EstimatorTracksRealFullEncoding) {
   spec_.link_quality.min_snr_db = 20.0;
-  Encoder full(tmpl_, spec_, {EncoderOptions::PathMode::kFull, 5, 20, true});
+  Encoder full(tmpl_, spec_, size_options(EncoderOptions::PathMode::kFull));
   const auto real = full.encode().stats;
   const auto est = full.estimate_full_stats();
   // The estimator mirrors the emitters analytically; allow a small slack

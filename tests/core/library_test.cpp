@@ -58,7 +58,7 @@ TEST_F(TemplateTest, PathLossSymmetricAndCached) {
   tmpl_.add_node({"b", {20, 0}, Role::kRelay, NodeKind::kCandidate, std::nullopt});
   EXPECT_DOUBLE_EQ(tmpl_.path_loss_db(0, 1), tmpl_.path_loss_db(1, 0));
   EXPECT_NEAR(tmpl_.path_loss_db(0, 1), model_.path_loss_db({0, 0}, {20, 0}), 1e-12);
-  EXPECT_THROW(tmpl_.path_loss_db(0, 7), std::out_of_range);
+  EXPECT_THROW((void)tmpl_.path_loss_db(0, 7), std::out_of_range);
 }
 
 TEST_F(TemplateTest, GraphRespectsRolesAndCutoff) {

@@ -272,8 +272,12 @@ TEST_F(SensitivitySweep, StrictJsonGradientsAndThreadInvariance) {
   const meta::SensitivityPoint& loose = rep.points[0];
   const meta::SensitivityPoint& tight = rep.points[1];
   ASSERT_EQ(loose.delta, -1.0);
-  if (loose.feasible) EXPECT_LE(loose.objective, rep.base.objective + 1e-6);
-  if (tight.feasible) EXPECT_GE(tight.objective, rep.base.objective - 1e-6);
+  if (loose.feasible) {
+    EXPECT_LE(loose.objective, rep.base.objective + 1e-6);
+  }
+  if (tight.feasible) {
+    EXPECT_GE(tight.objective, rep.base.objective - 1e-6);
+  }
 
   meta::SensitivityOptions threaded = sopts;
   threaded.threads = 4;

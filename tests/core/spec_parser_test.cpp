@@ -83,7 +83,7 @@ objective cost=1 dsod=0.2
 
 TEST_F(SpecParserTest, ErrorsCarryLineNumbers) {
   try {
-    spec::parse("p1 = has_path(s1, sink)\nbogus_pattern(1)\n", tmpl_);
+    (void)spec::parse("p1 = has_path(s1, sink)\nbogus_pattern(1)\n", tmpl_);
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -161,7 +161,7 @@ TEST_F(SpecParserTest, RejectsFractionalOrNonPositiveCounts) {
   }
   // The error is line-numbered and names the rule.
   try {
-    spec::parse(route + "max_hops(p1, 3.9)\n", tmpl_);
+    (void)spec::parse(route + "max_hops(p1, 3.9)\n", tmpl_);
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();

@@ -53,7 +53,7 @@ TEST(Workloads, LocalizationDefaultMatchesPaperShape) {
 }
 
 TEST(Workloads, ScalableRespectsNodeBudget) {
-  for (const auto [nodes, devices] : {std::pair{50, 20}, std::pair{100, 50}}) {
+  for (const auto& [nodes, devices] : {std::pair{50, 20}, std::pair{100, 50}}) {
     ScalableConfig cfg;
     cfg.total_nodes = nodes;
     cfg.end_devices = devices;

@@ -139,7 +139,9 @@ TEST(Yen, PathsAreDistinctAndLoopless) {
     for (size_t j = i + 1; j < paths.size(); ++j) {
       EXPECT_NE(paths[i].nodes, paths[j].nodes) << i << "," << j;
     }
-    if (i > 0) EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-12);
+    if (i > 0) {
+      EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-12);
+    }
   }
 }
 
@@ -159,7 +161,9 @@ TEST(Yen, RandomGraphsProperty) {
       EXPECT_TRUE(is_valid_simple_path(g, paths[i]));
       EXPECT_EQ(paths[i].nodes.front(), 0);
       EXPECT_EQ(paths[i].nodes.back(), n - 1);
-      if (i > 0) EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-12);
+      if (i > 0) {
+        EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-12);
+      }
     }
   }
 }

@@ -32,7 +32,7 @@ TEST(Linearize, BinaryProductRejectsContinuousOperand) {
   Model m;
   const Var x = m.add_binary("x");
   const Var c = m.add_continuous("c", 0, 1);
-  EXPECT_THROW(product_binary_binary(m, x, c, "z"), std::invalid_argument);
+  EXPECT_THROW((void)product_binary_binary(m, x, c, "z"), std::invalid_argument);
 }
 
 TEST(Linearize, BinaryTimesContinuousBothCases) {
@@ -67,7 +67,7 @@ TEST(Linearize, ProductRequiresFiniteBounds) {
   Model m;
   const Var b = m.add_binary("b");
   const Var c = m.add_continuous("c", 0.0, kInf);
-  EXPECT_THROW(product_binary_continuous(m, b, c, "w"), std::invalid_argument);
+  EXPECT_THROW((void)product_binary_continuous(m, b, c, "w"), std::invalid_argument);
 }
 
 TEST(Linearize, ExprBounds) {

@@ -90,7 +90,9 @@ void expect_pivot_rows_match(DualSimplex& ds, const std::string& what, Tally& ta
       } else {
         EXPECT_EQ(sparse[j], 0.0) << at << " column " << j;
       }
-      if (!in_sparse[j]) EXPECT_EQ(bits(sparse[j]), bits(0.0)) << at << " column " << j;
+      if (!in_sparse[j]) {
+        EXPECT_EQ(bits(sparse[j]), bits(0.0)) << at << " column " << j;
+      }
     }
     for (int s = 0; s < 2; ++s) {
       for (int b = 0; b < 2; ++b) {

@@ -21,7 +21,7 @@ TEST(Presolve, RoundsIntegerBoundsInward) {
   Model m;
   const Var x = m.add_integer("x", 0, 100);
   m.add_le(2.0 * LinExpr(x), 9.0);  // x <= 4.5 -> 4
-  presolve(m);
+  EXPECT_FALSE(presolve(m).proven_infeasible);
   EXPECT_DOUBLE_EQ(m.var(x).ub, 4.0);
 }
 
@@ -49,7 +49,7 @@ TEST(Presolve, EqualityTightensBothSides) {
   const Var x = m.add_continuous("x", -50.0, 50.0);
   const Var y = m.add_continuous("y", 0.0, 2.0);
   m.add_eq(LinExpr(x) - LinExpr(y), 1.0);  // x = 1 + y in [1, 3]
-  presolve(m);
+  EXPECT_FALSE(presolve(m).proven_infeasible);
   EXPECT_DOUBLE_EQ(m.var(x).lb, 1.0);
   EXPECT_DOUBLE_EQ(m.var(x).ub, 3.0);
 }
@@ -63,7 +63,7 @@ TEST(Presolve, PreservesOptimum) {
   m.add_le(LinExpr(x) + LinExpr(y), 30.0);
   m.minimize(LinExpr(x) + LinExpr(y));
   Model pre = m;
-  presolve(pre);
+  EXPECT_FALSE(presolve(pre).proven_infeasible);
   const auto r1 = solve(m);
   const auto r2 = solve(pre);
   ASSERT_EQ(r1.status, SolveStatus::kOptimal);

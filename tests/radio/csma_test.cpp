@@ -44,11 +44,14 @@ TEST(Csma, LifetimeShorterThanTdma) {
 TEST(Csma, RejectsBadArguments) {
   const TdmaConfig timing;
   const DeviceCurrents c;
-  EXPECT_THROW(charge_per_cycle_csma_mas(c, {-1, 0, 1.0}, timing, {}), std::invalid_argument);
-  EXPECT_THROW(charge_per_cycle_csma_mas(c, {0, 0, 0.1}, timing, {}), std::invalid_argument);
-  EXPECT_THROW(charge_per_cycle_csma_mas(c, {0, 0, 1.0}, timing, {1.5, 2.0}),
+  EXPECT_THROW((void)charge_per_cycle_csma_mas(c, {-1, 0, 1.0}, timing, {}),
                std::invalid_argument);
-  EXPECT_THROW(lifetime_years_csma(0.0, c, {0, 0, 1.0}, timing, {}), std::invalid_argument);
+  EXPECT_THROW((void)charge_per_cycle_csma_mas(c, {0, 0, 0.1}, timing, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)charge_per_cycle_csma_mas(c, {0, 0, 1.0}, timing, {1.5, 2.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)lifetime_years_csma(0.0, c, {0, 0, 1.0}, timing, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

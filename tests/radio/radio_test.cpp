@@ -55,8 +55,8 @@ TEST(Energy, TrafficIncreasesCharge) {
 TEST(Energy, RejectsInvalidTraffic) {
   const TdmaConfig tdma;
   const DeviceCurrents c;
-  EXPECT_THROW(charge_per_cycle_mas(c, {-1, 0, 1.0}, tdma), std::invalid_argument);
-  EXPECT_THROW(charge_per_cycle_mas(c, {0, 0, 0.5}, tdma), std::invalid_argument);
+  EXPECT_THROW((void)charge_per_cycle_mas(c, {-1, 0, 1.0}, tdma), std::invalid_argument);
+  EXPECT_THROW((void)charge_per_cycle_mas(c, {0, 0, 0.5}, tdma), std::invalid_argument);
 }
 
 TEST(Energy, LifetimeInRealisticBallpark) {
@@ -75,7 +75,7 @@ TEST(Energy, LifetimeInRealisticBallpark) {
 
 TEST(Energy, LifetimeRejectsBadBattery) {
   const TdmaConfig tdma;
-  EXPECT_THROW(lifetime_years(0.0, {}, {0, 0, 1.0}, tdma), std::invalid_argument);
+  EXPECT_THROW((void)lifetime_years(0.0, {}, {0, 0, 1.0}, tdma), std::invalid_argument);
 }
 
 TEST(Energy, AverageCurrentConsistentWithCharge) {

@@ -216,6 +216,32 @@ TEST_F(SolveServiceTest, ExtendedLadderResumesFromCachedPrefix) {
   EXPECT_GE(result->get_number("reused_rungs", 0.0), 2.0);
 }
 
+TEST_F(SolveServiceTest, CanonicalResultMatchesLibraryKStarSearch) {
+  // The daemon's scan and Explorer::search_k_star share one selection rule
+  // and one rung solve, so a cold daemon answer equals the library answer
+  // for the same scenario and ladder.
+  const std::vector<int> ladder = {1, 3, 5};
+  Collector out;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SolveService svc(registry_, cfg, out.sink());
+  Request req = solve_request("lib", ladder);
+  req.template_key = "scalable:30x10";
+  ASSERT_TRUE(svc.submit(req));
+  svc.wait_idle();
+
+  const archex::workloads::Scenario* scn = registry_.get("scalable:30x10");
+  ASSERT_NE(scn, nullptr);
+  const archex::Explorer ex(*scn->tmpl, scn->spec);
+  archex::Explorer::KStarSearchOptions ko;
+  ko.ladder = ladder;
+  milp::SolveOptions so;
+  so.time_limit_s = req.time_limit_s;
+  const auto lib = ex.search_k_star(ko, {}, so);
+  ASSERT_TRUE(lib.best.has_solution());
+  EXPECT_EQ(out.canonical_of("lib"), canonical_result_json(lib));
+}
+
 TEST_F(SolveServiceTest, AdmissionControlRejectsOverflowAndDuplicates) {
   Collector out;
   ServiceConfig cfg;

@@ -389,7 +389,8 @@ TEST(JsonParse, AcceptsExactlyWhatTheValidatorAccepts) {
       "  {\"k\": \"v\"}  ",
   };
   for (const char* text : cases) {
-    EXPECT_TRUE(json_parse(text).has_value()) << text;
+    std::string error;
+    EXPECT_TRUE(json_parse(text, &error).has_value()) << text << " -> " << error;
     EXPECT_FALSE(json_error(text).has_value()) << text;
   }
   const char* bad[] = {
@@ -408,8 +409,8 @@ TEST(JsonParse, AcceptsExactlyWhatTheValidatorAccepts) {
   for (const char* text : bad) {
     std::string error;
     EXPECT_FALSE(json_parse(text, &error).has_value()) << text;
-    EXPECT_FALSE(error.empty()) << text;
-    EXPECT_TRUE(json_error(text).has_value()) << text;
+    EXPECT_NE(error.find(" at byte "), std::string::npos) << text << " -> " << error;
+    EXPECT_EQ(json_error(text), std::optional<std::string>(error)) << text;
   }
 }
 

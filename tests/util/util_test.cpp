@@ -109,7 +109,7 @@ TEST(Stopwatch, MeasuresElapsed) {
   const double t0 = sw.seconds();
   EXPECT_GE(t0, 0.0);
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.seconds(), t0);
   sw.reset();
   EXPECT_LT(sw.seconds(), 1.0);
