@@ -1,5 +1,5 @@
 // Parallel-exploration scaling harness, on the Table-3 scalability
-// workload: end-to-end wall clock of a fault-injection campaign replay
+// workload: median wall clock of a fault-injection campaign replay
 // (independent scenario scoring, fanned out by faults::CampaignRunner) as
 // the worker count grows. The architecture under test comes from one
 // serial Sec. 4.3 K*-ladder search and is replayed at every thread count.
@@ -70,22 +70,34 @@ int main(int argc, char** argv) {
   const faults::FaultModel fm(*sc->tmpl, sc->spec, fc);
   const std::vector<faults::FaultScenario> scenarios = fm.scenarios(sr.best.architecture);
 
-  util::Table table({"Threads", "Campaign (s)", "Speedup", "Identical"});
+  // One replay takes milliseconds at small sizes, so each thread count
+  // replays until kMinSeconds have passed (at least kMinReplays times) and
+  // reports the median seconds per replay. Every replay's report must be
+  // byte-identical to the first serial one.
+  constexpr double kMinSeconds = 0.5;
+  constexpr size_t kMinReplays = 3;
+  util::Table table({"Threads", "Replays", "Replay (s, median)", "Speedup", "Identical"});
   double campaign_base_s = 0.0;
   std::string serial_json;
   for (const int t : counts) {
     faults::CampaignOptions copts;
     copts.threads = t;
     const faults::CampaignRunner runner(*sc->tmpl, sc->spec, copts);
-    const util::Stopwatch csw;
-    const std::string json = runner.run(sr.best.architecture, scenarios).to_json();
-    const double campaign_s = csw.seconds();
-    if (t == counts.front()) {
-      campaign_base_s = campaign_s;
-      serial_json = json;
+    std::vector<double> replay_s;
+    bool identical = true;
+    const util::Stopwatch total;
+    while (replay_s.size() < kMinReplays || total.seconds() < kMinSeconds) {
+      const util::Stopwatch csw;
+      const std::string json = runner.run(sr.best.architecture, scenarios).to_json();
+      replay_s.push_back(csw.seconds());
+      if (serial_json.empty()) serial_json = json;
+      identical = identical && json == serial_json;
     }
-    const bool identical = json == serial_json;
-    table.add_row({std::to_string(t), util::fmt_double(campaign_s, 3),
+    std::sort(replay_s.begin(), replay_s.end());
+    const double campaign_s = replay_s[replay_s.size() / 2];
+    if (t == counts.front()) campaign_base_s = campaign_s;
+    table.add_row({std::to_string(t), std::to_string(replay_s.size()),
+                   util::fmt_double(campaign_s, 4),
                    util::fmt_double(campaign_base_s / std::max(1e-9, campaign_s), 2),
                    identical ? "yes" : "NO"});
     if (!identical) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
-#include <tuple>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "channel/link_metrics.h"
@@ -63,43 +66,80 @@ ChargeCoefs charge_coefs(const Component& c, const RadioConfig& radio) {
   };
 }
 
-/// Whole encoding pass, kept as one stateful builder so the full and
-/// approximate modes share every non-path emitter verbatim.
+/// Whole encoding pass, kept as one stateful builder. An approximate model
+/// is grown by one append step (encode_to): a fresh encode runs it from an
+/// empty model and a K* delta runs it from the standing one, so both emit
+/// every row family through the same code and the same phase gates. The
+/// full mode runs the same phases with its own flow emitters; it never
+/// deltas.
 class Build {
  public:
   Build(const NetworkTemplate& tmpl, const Specification& spec, const EncoderOptions& opts)
       : t_(tmpl), s_(spec), o_(opts), g_(tmpl.build_graph()) {}
 
-  EncodedProblem run() {
-    execute();
-    return std::move(p_);
-  }
-
-  /// Full build, leaving the problem (and the resumable bookkeeping) inside
-  /// the builder so an incremental session can delta-extend it later.
-  void execute() {
+  /// Encodes to K* = k: from an empty model on the first call, otherwise by
+  /// appending only new candidates, variables and rows (approx mode). Every
+  /// grown constraint relaxes for the all-off extension of a previous
+  /// assignment, so a prior incumbent extended by extend_assignment stays
+  /// feasible. A stop latched by a gate skips the remaining phases and
+  /// leaves stats.termination set; the partial model must not be extended.
+  /// Returns false, before any model mutation, when a delta cannot
+  /// reproduce a fresh encode at `k` exactly (the caller then rebuilds):
+  ///  - K* shrinks;
+  ///  - the disjoint-disconnect step would remove a different path, shifting
+  ///    a later replica's base graph;
+  ///  - a previously-empty (route, replica) group or unsatisfiable kAvoid
+  ///    hardening gains compliant candidates (their explicit-infeasibility
+  ///    zero variables would no longer exist in a fresh encode);
+  ///  - a relay-cover cut's minimum drops to zero (a fresh encode omits the
+  ///    row entirely).
+  bool encode_to(int k) {
+    if (k < encoded_k_) return false;
     util::Stopwatch clock;
-    util::obs::ScopedSpan span("encode/full", "encode");
-    span.arg("k_star", o_.k_star);
-    collect_margins();
-    if (gate()) determine_scope();
+    const bool first = encoded_k_ < 0;
+    // Failed deltas record a span without the trailing "reused" arg — the
+    // caller rebuilds, and the rebuild shows up as its own encode/full span.
+    util::obs::ScopedSpan span(first ? "encode/full" : "encode/delta", "encode");
+    if (first) {
+      span.arg("k_star", k);
+      collect_margins();
+    } else {
+      span.arg("from_k", encoded_k_);
+      span.arg("to_k", k);
+    }
+    const int reused = static_cast<int>(p_.candidates.size());
+    // Row and column order steer the simplex and the branching, so both
+    // kinds of step keep a fixed order: a fresh encode the one
+    // EncoderFingerprint pins, a delta the one the K* ladders were measured
+    // with (the new edges' used_ub and LQ rows right after the edges, users
+    // rows before the group linking rows, conflict pairs new candidate
+    // first). Deltas in the fresh order pass every delta == fresh test but
+    // search differently: wnetd-mix op_p99_ms rose 33% (10 alternating
+    // runs on a 4-core x86-64 machine), from its 30x10 rungs.
+    if (gate() && !determine_scope(k)) return false;
     if (gate()) emit_sizing();
     if (gate()) emit_edges_and_paths();
     if (gate()) emit_hardening();
-    if (gate()) emit_link_quality();
+    if (gate() && first) emit_link_quality();  // a delta emitted these with its edges
     if (gate()) emit_energy();
     if (gate()) emit_localization();
     if (gate()) emit_objective();
     gate();  // charge the last phase's rows and pick up a late stop
-    encoded_k_ = o_.k_star;
+    encoded_k_ = k;
     refresh_stats();
     p_.stats.termination = stop_why_;
     p_.stats.encode_time_s = clock.seconds();
-    p_.stats.reused_candidates = 0;
-    p_.stats.delta_encode_time_s = 0.0;
-    span.arg("vars", p_.stats.num_vars);
-    span.arg("constrs", p_.stats.num_constrs);
-    span.arg("candidates", p_.stats.candidate_paths);
+    p_.stats.reused_candidates = reused;
+    p_.stats.delta_encode_time_s = first ? 0.0 : p_.stats.encode_time_s;
+    if (first) {
+      span.arg("vars", p_.stats.num_vars);
+      span.arg("constrs", p_.stats.num_constrs);
+      span.arg("candidates", p_.stats.candidate_paths);
+    } else {
+      span.arg("reused", reused);
+      util::obs::TraceRecorder::global().counter_add("encode.reused_candidates", reused);
+    }
+    return true;
   }
 
   [[nodiscard]] EncodedProblem& problem() { return p_; }
@@ -129,37 +169,27 @@ class Build {
     return stop_why_ == TerminationReason::kCompleted;
   }
 
-  /// Delta-extends an approximate encoding from the last encoded K* to
-  /// `new_k`, appending only new candidates, variables and rows. Returns
-  /// false when the delta cannot reproduce a fresh encode at `new_k`
-  /// exactly (the caller then rebuilds from scratch):
-  ///  - the disjoint-disconnect step would remove a different path, shifting
-  ///    a later replica's base graph;
-  ///  - a previously-empty (route, replica) group or unsatisfiable kAvoid
-  ///    hardening gains compliant candidates (their explicit-infeasibility
-  ///    zero variables would no longer exist in a fresh encode);
-  ///  - a relay-cover cut's minimum drops to zero (a fresh encode omits the
-  ///    row entirely).
-  /// On success, `new_var_defaults_` holds one all-off default per appended
-  /// variable, in variable-id order.
-  bool extend_to_k(int new_k);
-
   /// Appends rows for o_.hardening[first..] (all must be kAvoid): same rows
   /// a fresh encode would emit, over the current candidate set.
-  void append_avoid_hardenings(size_t first);
+  void append_avoid_hardenings(size_t first) {
+    util::Stopwatch clock;
+    for (size_t hi = first; hi < o_.hardening.size(); ++hi) emit_one_hardening(hi);
+    refresh_stats();
+    p_.stats.reused_candidates = static_cast<int>(p_.candidates.size());
+    p_.stats.delta_encode_time_s = clock.seconds();
+    p_.stats.encode_time_s = clock.seconds();
+  }
 
   /// Extends an assignment for the model as it stood before the last
-  /// successful extend_to_k: appended selectors/mappings/edges go to 0 and
-  /// each appended RSS variable is solved from its own equality row (it may
-  /// reference mapping variables that are active in `prev`). Returns empty
-  /// when `prev` does not match the pre-delta variable count.
+  /// encode_to: appended selectors/mappings/edges go to 0 and each appended
+  /// RSS variable is solved from its own equality row (it may reference
+  /// mapping variables that are active in `prev`). Returns empty when
+  /// `prev` does not match the pre-step variable count.
   [[nodiscard]] std::vector<double> extend_assignment(const std::vector<double>& prev) const {
-    if (prev.size() + new_var_defaults_.size() != static_cast<size_t>(p_.model.num_vars())) {
-      return {};
-    }
+    if (prev.size() != step_.first_var) return {};
     std::vector<double> out = prev;
-    out.insert(out.end(), new_var_defaults_.begin(), new_var_defaults_.end());
-    for (const EdgeKey& key : delta_edges_) {
+    out.resize(static_cast<size_t>(p_.model.num_vars()), 0.0);
+    for (const EdgeKey& key : step_.edges) {
       const Var rss = p_.rss.at(key);
       const auto& cn = p_.model.constrs()[static_cast<size_t>(rss_row_.at(key))];
       // Row is  sum(gains * m) - rss = rhs  =>  rss = sum - rhs.
@@ -176,6 +206,9 @@ class Build {
   [[nodiscard]] int encoded_k() const { return encoded_k_; }
 
  private:
+  [[nodiscard]] bool approx() const { return o_.mode == EncoderOptions::PathMode::kApprox; }
+  [[nodiscard]] bool first_step() const { return encoded_k_ < 0; }
+
   void refresh_stats() {
     p_.stats.num_vars = p_.model.num_vars();
     p_.stats.num_constrs = p_.model.num_constrs();
@@ -213,8 +246,9 @@ class Build {
 
   /// kAvoid hardenings: per constraint, at least one replica of the route
   /// must avoid the failed element set. In approx mode this is a cover over
-  /// the route's compliant candidate selectors; in full mode an indicator
-  /// per replica certifies its x^pi touches nothing forbidden.
+  /// the route's compliant candidate selectors (a delta widens it with the
+  /// new ones); in full mode an indicator per replica certifies its x^pi
+  /// touches nothing forbidden.
   void emit_hardening() {
     for (size_t hi = 0; hi < o_.hardening.size(); ++hi) emit_one_hardening(hi);
   }
@@ -222,83 +256,108 @@ class Build {
   void emit_one_hardening(size_t hi) {
     const auto& hc = o_.hardening[hi];
     const std::string tag = "harden" + std::to_string(hi);
-    {
-      if (hc.kind != HardeningConstraint::Kind::kAvoid) return;
-      if (hc.route_index < 0 || hc.route_index >= static_cast<int>(s_.routes.size())) return;
+    if (hc.kind != HardeningConstraint::Kind::kAvoid) return;
+    if (hc.route_index < 0 || hc.route_index >= static_cast<int>(s_.routes.size())) return;
 
-      if (o_.mode == EncoderOptions::PathMode::kApprox) {
-        LinExpr ok;
-        bool any = false;
-        for (const auto& c : p_.candidates) {
-          if (c.route_index != hc.route_index || !path_avoids(c.path, hc)) continue;
-          ok += LinExpr(c.selector);
-          any = true;
-        }
-        if (!any) {
-          // No candidate can dodge the failed set: the hardening is
-          // unsatisfiable under this K*/replica budget. Encode the verdict
-          // explicitly so the repair loop sees infeasible, not a silently
-          // dropped constraint.
-          const Var zero = p_.model.add_binary(tag + "_unsat");
-          p_.model.set_bounds(zero, 0.0, 0.0);
-          ok += LinExpr(zero);
-        }
-        const int row = p_.model.add_ge(std::move(ok), 1.0, tag);
-        avoid_rows_.push_back({hi, row, !any});
-      } else {
-        LinExpr ok;
-        for (size_t pi = 0; pi < p_.full_path_edges.size(); ++pi) {
-          if (p_.full_path_ids[pi].first != hc.route_index) continue;
-          LinExpr forbidden;
-          bool touched = false;
-          for (const auto& [key, x] : p_.full_path_edges[pi]) {
-            bool bad = false;
-            for (int v : hc.nodes) bad = bad || key.first == v || key.second == v;
-            for (const auto& [a, b] : hc.links) {
-              bad = bad || (key.first == a && key.second == b) ||
-                    (key.first == b && key.second == a);
-            }
-            if (bad) {
-              forbidden += LinExpr(x);
-              touched = true;
-            }
-          }
-          const Var a = p_.model.add_binary(tag + "_ok_p" + std::to_string(pi));
-          if (touched) {
-            milp::imply_le(p_.model, a, forbidden, 0.0, tag + "_clean_p" + std::to_string(pi));
-          }
-          ok += LinExpr(a);
-        }
-        p_.model.add_ge(std::move(ok), 1.0, tag);
+    if (approx()) {
+      const auto row = avoid_rows_.find(hi);
+      const size_t from = row == avoid_rows_.end() ? 0 : step_.first_candidate;
+      LinExpr ok;
+      bool any = false;
+      for (size_t ci = from; ci < p_.candidates.size(); ++ci) {
+        const auto& c = p_.candidates[ci];
+        if (c.route_index != hc.route_index || !path_avoids(c.path, hc)) continue;
+        ok += LinExpr(c.selector);
+        any = true;
       }
+      if (row != avoid_rows_.end()) {
+        if (any) p_.model.add_terms_to_constr(row->second.row, ok);
+        return;
+      }
+      if (!any) {
+        // No candidate can dodge the failed set: the hardening is
+        // unsatisfiable under this K*/replica budget. Encode the verdict
+        // explicitly so the repair loop sees infeasible, not a silently
+        // dropped constraint.
+        const Var zero = p_.model.add_binary(tag + "_unsat");
+        p_.model.set_bounds(zero, 0.0, 0.0);
+        ok += LinExpr(zero);
+      }
+      avoid_rows_[hi] = {p_.model.add_ge(std::move(ok), 1.0, tag), !any};
+      return;
     }
+    LinExpr ok;
+    for (size_t pi = 0; pi < p_.full_path_edges.size(); ++pi) {
+      if (p_.full_path_ids[pi].first != hc.route_index) continue;
+      LinExpr forbidden;
+      bool touched = false;
+      for (const auto& [key, x] : p_.full_path_edges[pi]) {
+        bool bad = false;
+        for (int v : hc.nodes) bad = bad || key.first == v || key.second == v;
+        for (const auto& [a, b] : hc.links) {
+          bad = bad || (key.first == a && key.second == b) ||
+                (key.first == b && key.second == a);
+        }
+        if (bad) {
+          forbidden += LinExpr(x);
+          touched = true;
+        }
+      }
+      const Var a = p_.model.add_binary(tag + "_ok_p" + std::to_string(pi));
+      if (touched) {
+        milp::imply_le(p_.model, a, forbidden, 0.0, tag + "_clean_p" + std::to_string(pi));
+      }
+      ok += LinExpr(a);
+    }
+    p_.model.add_ge(std::move(ok), 1.0, tag);
   }
 
   // ---------------------------------------------------------------- scope
-  void determine_scope() {
-    if (o_.mode == EncoderOptions::PathMode::kFull) {
-      for (int i = 0; i < t_.num_nodes(); ++i) node_in_scope_.insert(i);
-      for (const auto& e : g_.edges()) scope_edges_.insert({e.from, e.to});
+  /// What the current step adds: candidates from `first_candidate` on (the
+  /// pending ones until the selector phase appends them), and the nodes and
+  /// edges that enter the scope with them.
+  struct Step {
+    size_t first_candidate = 0;
+    size_t first_var = 0;
+    std::set<int> nodes;
+    std::set<EdgeKey> edges;
+  };
+
+  /// Grows the scope for K* = k. Returns false (model untouched) when the
+  /// delta cannot match a fresh encode; see encode_to.
+  bool determine_scope(int k) {
+    step_ = Step{p_.candidates.size(), static_cast<size_t>(p_.model.num_vars()), {}, {}};
+    if (!approx()) {
+      for (int i = 0; i < t_.num_nodes(); ++i) step_.nodes.insert(i);
+      for (const auto& e : g_.edges()) step_.edges.insert({e.from, e.to});
     } else {
-      generate_candidates();
-      for (const auto& cand : pending_candidates_) {
-        for (size_t k = 0; k + 1 < cand.path.nodes.size(); ++k) {
-          scope_edges_.insert({cand.path.nodes[k], cand.path.nodes[k + 1]});
+      if (!run_yen(k) || !delta_is_exact()) return false;
+      for (const auto& pc : pending_) {
+        for (size_t h = 0; h + 1 < pc.path.nodes.size(); ++h) {
+          const EdgeKey key{pc.path.nodes[h], pc.path.nodes[h + 1]};
+          if (!scope_edges_.count(key)) step_.edges.insert(key);
         }
-        for (int v : cand.path.nodes) node_in_scope_.insert(v);
+        for (int v : pc.path.nodes) {
+          if (!node_in_scope_.count(v)) step_.nodes.insert(v);
+        }
       }
     }
-    // Fixed nodes and anchors participate regardless of routing.
-    for (int i = 0; i < t_.num_nodes(); ++i) {
-      const auto& nd = t_.node(i);
-      if (nd.kind == NodeKind::kFixed || nd.role == Role::kAnchor) node_in_scope_.insert(i);
+    if (first_step()) {
+      // Fixed nodes and anchors participate regardless of routing.
+      for (int i = 0; i < t_.num_nodes(); ++i) {
+        const auto& nd = t_.node(i);
+        if (nd.kind == NodeKind::kFixed || nd.role == Role::kAnchor) step_.nodes.insert(i);
+      }
+      // Route endpoints must exist even if no candidate survived (the model
+      // must then come out infeasible, not silently shrunk).
+      for (const auto& r : s_.routes) {
+        step_.nodes.insert(r.source);
+        step_.nodes.insert(r.dest);
+      }
     }
-    // Route endpoints must exist even if no candidate survived (the model
-    // must then come out infeasible, not silently shrunk).
-    for (const auto& r : s_.routes) {
-      node_in_scope_.insert(r.source);
-      node_in_scope_.insert(r.dest);
-    }
+    node_in_scope_.insert(step_.nodes.begin(), step_.nodes.end());
+    scope_edges_.insert(step_.edges.begin(), step_.edges.end());
+    return true;
   }
 
   // ------------------------------------------------------- Algorithm 1
@@ -310,7 +369,7 @@ class Build {
 
   /// Resumable Yen state for one (route, replica) group: the enumerator
   /// keeps the accepted list and candidate pool alive across K* rungs, so a
-  /// later extend_to_k only derives the new paths.
+  /// later step only derives the new paths.
   struct RepState {
     std::unique_ptr<graph::YenEnumerator> en;
     size_t consumed = 0;  ///< raw (pre-hop-filter) paths already taken
@@ -353,61 +412,12 @@ class Build {
     return paths;
   }
 
-  /// Yen batches for one route, on a private copy of the prefiltered graph
-  /// (DisconnectMinDisjointPath mutates weights between replica groups).
-  /// Pure apart from the copy, so routes can run on any thread.
-  [[nodiscard]] std::pair<std::vector<PendingCandidate>, RouteState> route_candidates(
-      const Digraph& base, int ri) const {
-    std::vector<PendingCandidate> out;
-    RouteState st;
-    // Runs on worker-pool threads: poll-only control (no checkpoint
-    // counting), per the exec determinism contract.
-    const util::exec::ExecControl ctl = o_.exec.worker_view();
-    Digraph work = base;
-    std::vector<graph::EdgeId> banned;  // cumulative, sorted
-    const auto& route = s_.routes[static_cast<size_t>(ri)];
-    const int nrep = std::max(1, route.replicas);
-    // Runs on encoder worker threads, so traces show the Yen fan-out lanes.
-    util::obs::ScopedSpan span("encode/yen_route", "encode");
-    span.arg("route", ri);
-    span.arg("replicas", nrep);
-    // BalanceData: split K* into Nrep groups of K with Nrep*K >= K*.
-    st.k_per_rep = std::max(1, (o_.k_star + nrep - 1) / nrep);
-
-    for (int rep = 0; rep < nrep; ++rep) {
-      if (ctl.stopped()) break;  // the spine gate reports the reason
-      RepState rp;
-      rp.banned_before = banned;
-      rp.en = std::make_unique<graph::YenEnumerator>(work, route.source, route.dest);
-      auto paths = hop_filtered(rp.en->next_batch(st.k_per_rep, ctl), ri);
-      rp.consumed = rp.en->accepted().size();
-      st.reps.push_back(std::move(rp));
-      for (const Path& p : paths) {
-        out.push_back({p, ri, rep});
-      }
-      if (o_.disjoint_strategy == EncoderOptions::DisjointStrategy::kNone) continue;
-      if (rep + 1 < nrep && !paths.empty()) {
-        // DisconnectMinDisjointPath: remove the path sharing the most
-        // edges with its batch so the next group starts fresh.
-        for (graph::EdgeId e : disconnect_edges(paths)) {
-          work.set_weight(e, graph::kInfWeight);
-          banned.push_back(e);
-        }
-        std::sort(banned.begin(), banned.end());
-        banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
-      }
-    }
-    span.arg("candidates", static_cast<double>(out.size()));
-    return {std::move(out), std::move(st)};
-  }
-
-  void generate_candidates() {
+  /// The graph every replica enumerator starts from. LQ prefilter: links
+  /// that cannot meet the bound (including any fading margin hardened onto
+  /// them) even with the best components never become candidates.
+  [[nodiscard]] Digraph yen_graph() const {
     Digraph base = g_;
     const auto rss_floor = s_.min_rss_dbm();
-
-    // LQ prefilter: links that cannot meet the bound (including any fading
-    // margin hardened onto them) even with the best components never become
-    // candidates.
     if (o_.lq_prefilter && rss_floor) {
       for (int e = 0; e < base.num_edges(); ++e) {
         const auto& ed = base.edge(e);
@@ -416,18 +426,108 @@ class Build {
         }
       }
     }
+    return base;
+  }
 
-    // Routes are independent Yen sweeps; fan them out and merge the batches
-    // back in route order, so the candidate list (and every variable name
-    // and constraint downstream) is identical for any thread count.
-    const util::ParallelExecutor exec(o_.threads);
-    auto per_route = exec.map<std::pair<std::vector<PendingCandidate>, RouteState>>(
-        static_cast<int>(s_.routes.size()),
-        [&](int ri) { return route_candidates(base, ri); });
-    for (auto& [batch, st] : per_route) {
-      for (auto& pc : batch) pending_candidates_.push_back(std::move(pc));
-      route_states_.push_back(std::move(st));
+  /// Extends route `ri`'s replica groups to their share of K* = k and
+  /// returns the paths past those already taken. A replica's enumerator is
+  /// created on first use, on a private copy of `base` minus the edges
+  /// disconnected so far (DisconnectMinDisjointPath); later steps replay the
+  /// disconnect over the extended batches and return nullopt on drift.
+  /// Touches only the route's own state, so routes can run on any thread.
+  std::optional<std::vector<PendingCandidate>> route_step(const Digraph& base, int ri, int k) {
+    RouteState& st = route_states_[static_cast<size_t>(ri)];
+    const auto& route = s_.routes[static_cast<size_t>(ri)];
+    const int nrep = std::max(1, route.replicas);
+    // BalanceData: split K* into Nrep groups of K with Nrep*K >= K*.
+    const int kpr = std::max(1, (k + nrep - 1) / nrep);
+    std::vector<PendingCandidate> out;
+    if (kpr == st.k_per_rep) return out;  // K* grew too little to matter here
+    // Runs on worker-pool threads: poll-only control (no checkpoint
+    // counting), per the exec determinism contract.
+    const util::exec::ExecControl ctl = o_.exec.worker_view();
+    // Runs on encoder worker threads, so traces show the Yen fan-out lanes.
+    util::obs::ScopedSpan span("encode/yen_route", "encode");
+    span.arg("route", ri);
+    span.arg("replicas", nrep);
+    std::optional<Digraph> work;
+    std::vector<graph::EdgeId> banned;  // cumulative, sorted
+    for (int rep = 0; rep < nrep; ++rep) {
+      if (ctl.stopped()) break;  // the spine gate reports the reason
+      if (static_cast<size_t>(rep) == st.reps.size()) {
+        if (!work) work = base;
+        for (graph::EdgeId e : banned) work->set_weight(e, graph::kInfWeight);
+        st.reps.push_back(
+            {std::make_unique<graph::YenEnumerator>(*work, route.source, route.dest), 0, banned});
+      } else if (st.reps[static_cast<size_t>(rep)].banned_before != banned) {
+        return std::nullopt;  // disconnect drift
+      }
+      RepState& rp = st.reps[static_cast<size_t>(rep)];
+      const auto& batch = rp.en->next_batch(kpr, ctl);
+      std::vector<Path> tail(batch.begin() + static_cast<std::ptrdiff_t>(rp.consumed),
+                             batch.end());
+      rp.consumed = batch.size();
+      for (Path& p : hop_filtered(std::move(tail), ri)) out.push_back({std::move(p), ri, rep});
+      if (o_.disjoint_strategy == EncoderOptions::DisjointStrategy::kNone) continue;
+      if (rep + 1 < nrep) {
+        // DisconnectMinDisjointPath: remove the path sharing the most
+        // edges with its batch so the next group starts fresh.
+        const auto paths = hop_filtered(batch, ri);
+        if (!paths.empty()) {
+          for (graph::EdgeId e : disconnect_edges(paths)) banned.push_back(e);
+          std::sort(banned.begin(), banned.end());
+          banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
+        }
+      }
     }
+    st.k_per_rep = kpr;
+    span.arg("candidates", static_cast<double>(out.size()));
+    return out;
+  }
+
+  /// One Yen step over every route into pending_. Routes are independent
+  /// sweeps; they fan out and merge back in route order, so the candidate
+  /// list (and every variable name and constraint downstream) is identical
+  /// for any thread count. False on disconnect drift.
+  bool run_yen(int k) {
+    // Replica enumerators are only ever missing on the first step: a
+    // stopped encode is never extended.
+    if (first_step()) route_states_.resize(s_.routes.size());
+    const Digraph base = first_step() ? yen_graph() : Digraph{};
+    const util::ParallelExecutor exec(o_.threads);
+    auto per_route = exec.map<std::optional<std::vector<PendingCandidate>>>(
+        static_cast<int>(s_.routes.size()), [&](int ri) { return route_step(base, ri, k); });
+    for (auto& batch : per_route) {
+      if (!batch) return false;
+      for (auto& pc : *batch) pending_.push_back(std::move(pc));
+    }
+    return true;
+  }
+
+  [[nodiscard]] int relay_count(const Path& p) const {
+    int relays = 0;
+    for (int v : p.nodes) relays += t_.node(v).kind == NodeKind::kFixed ? 0 : 1;
+    return relays;
+  }
+
+  /// A delta must reproduce a fresh encode exactly. Rows a fresh encode
+  /// would no longer emit (pinned-zero infeasibility markers, collapsed
+  /// cover cuts) cannot be retracted from the model, so their appearance
+  /// forces a rebuild. Vacuous on the first step, which has no rows yet.
+  [[nodiscard]] bool delta_is_exact() const {
+    for (const auto& pc : pending_) {
+      const std::pair<int, int> group{pc.route_index, pc.replica};
+      if (group_unsat_.count(group)) return false;
+      if (cover_row_.count(group) && relay_count(pc.path) == 0) return false;
+    }
+    for (const auto& [hi, ar] : avoid_rows_) {
+      if (!ar.unsat) continue;
+      const auto& hc = o_.hardening[hi];
+      for (const auto& pc : pending_) {
+        if (pc.route_index == hc.route_index && path_avoids(pc.path, hc)) return false;
+      }
+    }
+    return true;
   }
 
   // --------------------------------------------------------------- sizing
@@ -438,8 +538,8 @@ class Build {
   }
 
   void emit_sizing() {
-    p_.node_used.assign(static_cast<size_t>(t_.num_nodes()), Var{});
-    for (int i : node_in_scope_) emit_sizing_node(i);
+    if (first_step()) p_.node_used.assign(static_cast<size_t>(t_.num_nodes()), Var{});
+    for (int i : step_.nodes) emit_sizing_node(i);
   }
 
   void emit_sizing_node(int i) {
@@ -460,13 +560,10 @@ class Build {
   }
 
   // ------------------------------------------------------ edges and paths
-  Var edge_var(int from, int to) {
-    const EdgeKey key{from, to};
-    auto it = p_.edge_active.find(key);
-    if (it != p_.edge_active.end()) return it->second;
+  void emit_edge_var(int from, int to) {
     const Var e = p_.model.add_binary("e_" + t_.node(from).name + "_" + t_.node(to).name);
     p_.model.set_branch_priority(e, 2);
-    p_.edge_active[key] = e;
+    p_.edge_active[{from, to}] = e;
     // A link needs both endpoints deployed. Lazy mode leaves these pure
     // implication rows to the separator too — two per scoped edge, they are
     // the largest skeleton family at scale.
@@ -476,29 +573,61 @@ class Build {
       p_.model.add_le(LinExpr(e) - LinExpr(p_.node_used[static_cast<size_t>(from)]), 0.0);
       p_.model.add_le(LinExpr(e) - LinExpr(p_.node_used[static_cast<size_t>(to)]), 0.0);
     }
-    return e;
   }
 
   void emit_edges_and_paths() {
-    for (const EdgeKey& k : scope_edges_) edge_var(k.first, k.second);
-    if (o_.mode == EncoderOptions::PathMode::kFull) {
-      emit_full_paths();
-    } else {
-      emit_approx_paths();
+    for (const EdgeKey& k : step_.edges) emit_edge_var(k.first, k.second);
+    collect_node_users();
+    if (!first_step()) {
+      // Delta order: the new edges' used_ub and LQ rows come with the edges.
+      finalize_node_upper_links();
+      emit_link_quality();
     }
-    emit_node_upper_links();
+    if (approx()) {
+      append_candidates();
+    } else {
+      emit_full_paths();
+    }
   }
 
-  void emit_approx_paths() {
-    // Selector binaries.
-    for (auto& pc : pending_candidates_) {
+  /// Selectors for the pending candidates, then every candidate row family
+  /// created or widened through the row maps: a fresh encode creates each
+  /// row, a delta widens the rows it already has.
+  void append_candidates() {
+    const size_t first = step_.first_candidate;
+    for (auto& pc : pending_) {
       const Var y = p_.model.add_binary("y_r" + std::to_string(pc.route_index) + "_rep" +
                                         std::to_string(pc.replica) + "_" +
                                         std::to_string(p_.candidates.size()));
       p_.model.set_branch_priority(y, 3);  // structural decisions branch first
       p_.candidates.push_back({std::move(pc.path), y, pc.route_index, pc.replica});
     }
-    pending_candidates_.clear();
+    pending_.clear();
+
+    // The new candidates' selector mass per group, per edge, per
+    // (group, edge) and per (group, node), plus each group's relay cover.
+    std::map<std::pair<int, int>, LinExpr> group;
+    std::map<EdgeKey, LinExpr> users;
+    std::map<std::tuple<int, int, int, int>, LinExpr> group_edge;  // (route, rep, i, j)
+    std::map<std::tuple<int, int, int>, LinExpr> group_node;       // (route, rep, node)
+    std::map<std::pair<int, int>, std::pair<std::set<int>, int>> cover;  // -> (union, h)
+    for (size_t ci = first; ci < p_.candidates.size(); ++ci) {
+      const auto& c = p_.candidates[ci];
+      group[{c.route_index, c.replica}] += LinExpr(c.selector);
+      for (size_t k = 0; k + 1 < c.path.nodes.size(); ++k) {
+        const EdgeKey key{c.path.nodes[k], c.path.nodes[k + 1]};
+        users[key] += LinExpr(c.selector);
+        group_edge[{c.route_index, c.replica, key.first, key.second}] += LinExpr(c.selector);
+      }
+      auto& [relays, h] =
+          cover.try_emplace({c.route_index, c.replica}, std::set<int>{}, INT32_MAX).first->second;
+      for (int v : c.path.nodes) {
+        if (t_.node(v).kind == NodeKind::kFixed) continue;  // u already 1
+        group_node[{c.route_index, c.replica, v}] += LinExpr(c.selector);
+        relays.insert(v);
+      }
+      h = std::min(h, relay_count(c.path));
+    }
 
     // Group selection: exactly one candidate per (route, replica) group.
     // Equality (rather than >= 1) is lossless — dropping a surplus path
@@ -509,108 +638,114 @@ class Build {
     for (size_t ri = 0; ri < s_.routes.size(); ++ri) {
       const int nrep = std::max(1, s_.routes[ri].replicas);
       for (int rep = 0; rep < nrep; ++rep) {
-        LinExpr any;
-        bool has = false;
-        for (const auto& c : p_.candidates) {
-          if (c.route_index == static_cast<int>(ri) && c.replica == rep) {
-            any += LinExpr(c.selector);
-            has = true;
-          }
+        const std::pair<int, int> key{static_cast<int>(ri), rep};
+        const auto add = group.find(key);
+        const auto row = group_row_.find(key);
+        if (row != group_row_.end()) {
+          if (add != group.end()) p_.model.add_terms_to_constr(row->second, add->second);
+          continue;
         }
-        if (!has) {
+        LinExpr any;
+        if (add != group.end()) {
+          any = std::move(add->second);
+        } else {
           // No surviving candidate: the requirement is unsatisfiable under
           // this K*; encode that verdict explicitly.
           const Var zero = p_.model.add_binary("no_candidate");
           p_.model.set_bounds(zero, 0.0, 0.0);
           any += LinExpr(zero);
-          group_unsat_.insert({static_cast<int>(ri), rep});
+          group_unsat_.insert(key);
         }
-        group_row_[{static_cast<int>(ri), rep}] =
-            p_.model.add_eq(std::move(any), 1.0,
-                            "route" + std::to_string(ri) + "_rep" + std::to_string(rep));
+        group_row_[key] = p_.model.add_eq(
+            std::move(any), 1.0, "route" + std::to_string(ri) + "_rep" + std::to_string(rep));
       }
     }
 
     // Edge activation, aggregated per group: since exactly one candidate
     // of a group is chosen, e_ij >= sum of the group's selectors using ij
-    // is valid and dominates the per-candidate form y <= e.
-    std::map<EdgeKey, LinExpr> users;
-    std::map<std::tuple<int, int, int, int>, LinExpr> group_edge;   // (route, rep, i, j)
-    std::map<std::tuple<int, int, int>, LinExpr> group_node;        // (route, rep, node)
-    for (const auto& c : p_.candidates) {
-      for (size_t k = 0; k + 1 < c.path.nodes.size(); ++k) {
-        const EdgeKey key{c.path.nodes[k], c.path.nodes[k + 1]};
-        users[key] += LinExpr(c.selector);
-        group_edge[{c.route_index, c.replica, key.first, key.second}] += LinExpr(c.selector);
+    // is valid and dominates the per-candidate form y <= e. Lazy mode keeps
+    // the relaxed skeleton only: these linking rows (the dominant family at
+    // scale) are recorded as omitted (-1) and recovered on demand by the
+    // LazySeparation callbacks during the solve.
+    const auto link = [&](auto& rows, auto& mass, auto&& bound) {
+      for (auto& [key, expr] : mass) {
+        auto [it, fresh] = rows.try_emplace(key, -1);
+        if (!fresh) {
+          if (it->second >= 0) p_.model.add_terms_to_constr(it->second, expr);
+        } else if (o_.lazy_separation) {
+          ++p_.stats.lazy_rows_omitted;
+        } else {
+          expr -= LinExpr(bound(key));
+          it->second = p_.model.add_le(std::move(expr), 0.0);
+        }
       }
-      for (int v : c.path.nodes) {
-        if (t_.node(v).kind == NodeKind::kFixed) continue;  // u already 1
-        group_node[{c.route_index, c.replica, v}] += LinExpr(c.selector);
+    };
+    const auto users_rows = [&] {
+      for (auto& [key, expr] : users) {
+        const auto row = users_row_.find(key);
+        if (row != users_row_.end()) {
+          p_.model.add_terms_to_constr(row->second, expr);
+          continue;
+        }
+        expr -= LinExpr(p_.edge_active.at(key));
+        users_row_[key] = p_.model.add_ge(std::move(expr), 0.0);  // e <= sum of users
       }
-    }
-    // Lazy mode keeps the relaxed skeleton only: the group linking rows
-    // (the dominant family at scale) are skipped here and recovered on
-    // demand by the LazySeparation callbacks during the solve.
-    if (o_.lazy_separation) {
-      p_.stats.lazy_rows_omitted +=
-          static_cast<int>(group_edge.size() + group_node.size());
-    } else {
-      for (auto& [key, expr] : group_edge) {
-        expr -= LinExpr(p_.edge_active.at({std::get<2>(key), std::get<3>(key)}));
-        group_edge_row_[key] = p_.model.add_le(std::move(expr), 0.0);  // group path mass <= e
-      }
-      for (auto& [key, expr] : group_node) {
-        expr -= LinExpr(p_.node_used[static_cast<size_t>(std::get<2>(key))]);
-        group_node_row_[key] = p_.model.add_le(std::move(expr), 0.0);  // group path mass <= u
-      }
-    }
-    for (auto& [key, expr] : users) {
-      expr -= LinExpr(p_.edge_active.at(key));
-      users_row_[key] = p_.model.add_ge(std::move(expr), 0.0);  // e <= sum of users
-    }
+    };
+    if (!first_step()) users_rows();  // delta order: users before the group linking
+    link(group_edge_row_, group_edge, [&](const auto& key) {  // group path mass <= e
+      return p_.edge_active.at({std::get<2>(key), std::get<3>(key)});
+    });
+    link(group_node_row_, group_node, [&](const auto& key) {  // group path mass <= u
+      return p_.node_used[static_cast<size_t>(std::get<2>(key))];
+    });
+    if (first_step()) users_rows();
 
     // Relay-cover cuts: whichever candidate a group picks, it deploys at
     // least h_g = min-over-candidates relay count, all drawn from the
     // union of the group's relay sets. Redundant for integer solutions
     // but lifts the LP bound (fractional path mass can no longer spread
-    // relay usage below the unavoidable minimum).
-    {
-      for (const auto& c : p_.candidates) {
-        auto [it, fresh] = cover_data_.try_emplace({c.route_index, c.replica},
-                                                   std::set<int>{}, INT32_MAX);
-        int relays = 0;
-        for (int v : c.path.nodes) {
-          if (t_.node(v).kind == NodeKind::kFixed) continue;
-          it->second.first.insert(v);
-          ++relays;
-        }
-        it->second.second = std::min(it->second.second, relays);
+    // relay usage below the unavoidable minimum). A delta grows the union
+    // and lowers the minimum.
+    for (const auto& [key, add] : cover) {
+      auto& [nodes, h] =
+          cover_data_.try_emplace(key, std::set<int>{}, INT32_MAX).first->second;
+      LinExpr grown;
+      for (int v : add.first) {
+        if (nodes.insert(v).second) grown += LinExpr(p_.node_used[static_cast<size_t>(v)]);
       }
-      for (const auto& [key, uc] : cover_data_) {
-        if (uc.second <= 0 || uc.first.empty()) continue;
-        LinExpr sum;
-        for (int v : uc.first) sum += LinExpr(p_.node_used[static_cast<size_t>(v)]);
+      h = std::min(h, add.second);
+      const auto row = cover_row_.find(key);
+      if (row != cover_row_.end()) {
+        p_.model.add_terms_to_constr(row->second, grown);
+        p_.model.set_constr_rhs(row->second, static_cast<double>(h));
+      } else if (h > 0 && !nodes.empty()) {
         cover_row_[key] = p_.model.add_ge(
-            std::move(sum), static_cast<double>(uc.second),
+            std::move(grown), static_cast<double>(h),
             "cover_r" + std::to_string(key.first) + "_" + std::to_string(key.second));
       }
     }
 
     // Disjointness of chosen replicas (the (1d) analog on candidates):
-    // same-route candidates from different groups sharing an edge conflict.
-    // Lazy mode counts the O(K^2) pairs instead of emitting them.
-    for (size_t a = 0; a < p_.candidates.size(); ++a) {
-      for (size_t b = a + 1; b < p_.candidates.size(); ++b) {
-        const auto& ca = p_.candidates[a];
-        const auto& cb = p_.candidates[b];
-        if (ca.route_index != cb.route_index || ca.replica == cb.replica) continue;
-        if (graph::shared_edges(ca.path, cb.path) > 0) {
-          if (o_.lazy_separation) {
-            ++p_.stats.lazy_rows_omitted;
-          } else {
-            p_.model.add_le(LinExpr(ca.selector) + LinExpr(cb.selector), 1.0);
-          }
-        }
+    // same-route candidates from different groups sharing an edge conflict,
+    // for every pair touching a new candidate. Lazy mode counts the O(K^2)
+    // pairs instead of emitting them.
+    const auto disjoint = [&](const CandidatePath& ca, const CandidatePath& cb) {
+      if (ca.route_index != cb.route_index || ca.replica == cb.replica) return;
+      if (graph::shared_edges(ca.path, cb.path) == 0) return;
+      if (o_.lazy_separation) {
+        ++p_.stats.lazy_rows_omitted;
+      } else {
+        p_.model.add_le(LinExpr(ca.selector) + LinExpr(cb.selector), 1.0);
+      }
+    };
+    const auto& cands = p_.candidates;
+    if (first_step()) {
+      for (size_t a = 0; a < cands.size(); ++a) {
+        for (size_t b = a + 1; b < cands.size(); ++b) disjoint(cands[a], cands[b]);
+      }
+    } else {
+      for (size_t a = first; a < cands.size(); ++a) {  // delta order: new candidate first
+        for (size_t b = 0; b < a; ++b) disjoint(cands[a], cands[b]);
       }
     }
   }
@@ -702,21 +837,29 @@ class Build {
     }
   }
 
-  void emit_node_upper_links() {
-    // A candidate node may only be "used" when something uses it: an
-    // incident active edge now, or a localization reach var added later.
-    // Collect incident edges here; emit_localization() extends the expr.
-    for (int i : node_in_scope_) {
-      if (t_.node(i).kind == NodeKind::kFixed) continue;
-      LinExpr& users = node_users_[i];
-      for (const auto& [key, e] : p_.edge_active) {
-        if (key.first == i || key.second == i) users += LinExpr(e);
+  /// A candidate node may only be "used" when something uses it: an
+  /// incident active edge now, or a localization reach var added later.
+  /// Collects the step's new users per node; emit_localization() extends
+  /// them and emits or widens the used_ub rows.
+  void collect_node_users() {
+    for (int i : step_.nodes) {
+      if (t_.node(i).kind != NodeKind::kFixed) node_users_[i];
+    }
+    for (const EdgeKey& key : step_.edges) {
+      const Var e = p_.edge_active.at(key);
+      for (const int v : {key.first, key.second}) {
+        if (t_.node(v).kind != NodeKind::kFixed) node_users_[v] += LinExpr(e);
       }
     }
   }
 
   void finalize_node_upper_links() {
     for (auto& [i, users] : node_users_) {
+      const auto row = used_ub_row_.find(i);
+      if (row != used_ub_row_.end()) {
+        p_.model.add_terms_to_constr(row->second, users);
+        continue;
+      }
       users -= LinExpr(p_.node_used[static_cast<size_t>(i)]);
       used_ub_row_[i] = p_.model.add_ge(std::move(users), 0.0, "used_ub_" + t_.node(i).name);
     }
@@ -725,7 +868,7 @@ class Build {
 
   // --------------------------------------------------------- link quality
   void emit_link_quality() {
-    for (const auto& [key, e] : p_.edge_active) emit_lq_edge(key, e);
+    for (const EdgeKey& key : step_.edges) emit_lq_edge(key, p_.edge_active.at(key));
   }
 
   void emit_lq_edge(const EdgeKey& key, Var e) {
@@ -794,16 +937,6 @@ class Build {
     return std::max(1, total_paths) * 100.0;  // ETX-weighted cap
   }
 
-  /// TX / RX ETX weights one candidate's path induces on node i.
-  [[nodiscard]] std::pair<double, double> candidate_traffic(const Path& path, int i) const {
-    double tx_w = 0.0, rx_w = 0.0;
-    for (size_t k = 0; k + 1 < path.nodes.size(); ++k) {
-      if (path.nodes[k] == i) tx_w += etx_for_edge(i, path.nodes[k + 1]);
-      if (path.nodes[k + 1] == i) rx_w += etx_for_edge(path.nodes[k], i);
-    }
-    return {tx_w, rx_w};
-  }
-
   /// Creates ftx/frx for node i and ties them to the routing mass in
   /// tx_expr/rx_expr (equality rows recorded for incremental widening),
   /// plus the per-component lifetime implications.
@@ -834,46 +967,61 @@ class Build {
     }
   }
 
+  /// Weighted TX / RX counts the step's routing mass induces per battery
+  /// node: nodes gaining traffic for the first time get their flow
+  /// variables, the others have their traffic rows widened. With energy in
+  /// the objective, every battery node in scope gets flow variables.
   void emit_energy() {
     if (!energy_enabled()) return;
     s_.radio.tdma.validate();
 
-    for (int i : node_in_scope_) {
-      const auto& nd = t_.node(i);
-      if (nd.role == Role::kSink) continue;  // mains powered
-      // Weighted TX / RX counts induced by routing through node i.
-      LinExpr tx_expr;
-      LinExpr rx_expr;
-      bool touched = false;
-      if (o_.mode == EncoderOptions::PathMode::kApprox) {
-        for (const auto& c : p_.candidates) {
-          const auto [tx_w, rx_w] = candidate_traffic(c.path, i);
-          if (tx_w > 0) tx_expr += tx_w * LinExpr(c.selector);
-          if (rx_w > 0) rx_expr += rx_w * LinExpr(c.selector);
-          touched = touched || tx_w > 0 || rx_w > 0;
-        }
-      } else {
-        for (const auto& xmap : p_.full_path_edges) {
-          for (const auto& [key, x] : xmap) {
-            if (key.first == i) {
-              tx_expr += etx_for_edge(key.first, key.second) * LinExpr(x);
-              touched = true;
-            }
-            if (key.second == i) {
-              rx_expr += etx_for_edge(key.first, key.second) * LinExpr(x);
-              touched = true;
-            }
-          }
+    std::map<int, std::pair<LinExpr, LinExpr>> traffic;  // node -> (tx, rx) mass
+    const auto battery = [&](int v) { return t_.node(v).role != Role::kSink; };  // sinks: mains
+    if (approx()) {
+      for (size_t ci = step_.first_candidate; ci < p_.candidates.size(); ++ci) {
+        const auto& c = p_.candidates[ci];
+        const auto& nodes = c.path.nodes;
+        for (size_t k = 0; k < nodes.size(); ++k) {
+          const int v = nodes[k];
+          if (!battery(v)) continue;
+          const double tx_w = k + 1 < nodes.size() ? etx_for_edge(v, nodes[k + 1]) : 0.0;
+          const double rx_w = k > 0 ? etx_for_edge(nodes[k - 1], v) : 0.0;
+          if (tx_w <= 0 && rx_w <= 0) continue;
+          auto& [tx, rx] = traffic[v];
+          if (tx_w > 0) tx += tx_w * LinExpr(c.selector);
+          if (rx_w > 0) rx += rx_w * LinExpr(c.selector);
         }
       }
-      if (!touched && s_.objective.weight_energy == 0.0) continue;
-      emit_energy_node(i, std::move(tx_expr), std::move(rx_expr));
+    } else {
+      for (const auto& xmap : p_.full_path_edges) {
+        for (const auto& [key, x] : xmap) {
+          const double etx = etx_for_edge(key.first, key.second);
+          if (battery(key.first)) traffic[key.first].first += etx * LinExpr(x);
+          if (battery(key.second)) traffic[key.second].second += etx * LinExpr(x);
+        }
+      }
+    }
+    if (s_.objective.weight_energy != 0.0) {
+      for (int v : step_.nodes) {
+        if (battery(v)) traffic[v];
+      }
+    }
+    for (auto& [v, mass] : traffic) {
+      const auto rows = traffic_rows_.find(v);
+      if (rows == traffic_rows_.end()) {
+        emit_energy_node(v, std::move(mass.first), std::move(mass.second));
+        continue;
+      }
+      p_.model.add_terms_to_constr(rows->second.first, mass.first);
+      p_.model.add_terms_to_constr(rows->second.second, mass.second);
     }
   }
 
   // -------------------------------------------------------- localization
+  /// Localization rows on the first step only (they do not depend on K*),
+  /// then the used_ub rows for the step's node users.
   void emit_localization() {
-    if (s_.localization) {
+    if (s_.localization && first_step()) {
       const auto& loc = *s_.localization;
       const auto anchors = t_.nodes_with_role(Role::kAnchor);
       for (size_t pj = 0; pj < loc.eval_points.size(); ++pj) {
@@ -886,7 +1034,7 @@ class Build {
         }
         std::sort(ranked.begin(), ranked.end());
         size_t limit = ranked.size();
-        if (o_.mode == EncoderOptions::PathMode::kApprox && o_.loc_candidates > 0) {
+        if (approx() && o_.loc_candidates > 0) {
           limit = std::min<size_t>(limit, static_cast<size_t>(o_.loc_candidates));
         }
 
@@ -938,8 +1086,7 @@ class Build {
 
   // ----------------------------------------------------------- objective
   /// q_i >= charge-per-cycle of the admitted component; feeds the energy
-  /// objective term. Split from rebuild_objective so a delta pass can add q
-  /// variables for nodes that gained traffic without touching old ones.
+  /// objective term.
   void emit_energy_objective_var(int i) {
     const auto& [ftx, frx] = node_traffic_vars_.at(i);
     double qmax = 0.0;
@@ -957,17 +1104,16 @@ class Build {
     q_var_[i] = q;
   }
 
+  /// q variables for the nodes that gained flow variables in this step,
+  /// then the whole objective, recomputed from the decode tables. LinExpr
+  /// merges terms by variable, so rebuilding after a delta yields exactly
+  /// what a fresh encode would produce.
   void emit_objective() {
     if (s_.objective.weight_energy != 0.0) {
-      for (const auto& entry : node_traffic_vars_) emit_energy_objective_var(entry.first);
+      for (const auto& entry : node_traffic_vars_) {
+        if (!q_var_.count(entry.first)) emit_energy_objective_var(entry.first);
+      }
     }
-    rebuild_objective();
-  }
-
-  /// Recomputes the whole objective from the decode tables. LinExpr merges
-  /// terms by variable, so rebuilding after a delta yields exactly what a
-  /// fresh encode would produce.
-  void rebuild_objective() {
     LinExpr obj;
     if (s_.objective.weight_cost != 0.0) {
       for (const auto& [key, m] : p_.mapping) {
@@ -998,16 +1144,16 @@ class Build {
   EncodedProblem p_;
   std::set<int> node_in_scope_;
   std::set<EdgeKey> scope_edges_;
-  std::vector<PendingCandidate> pending_candidates_;
+  std::vector<PendingCandidate> pending_;  ///< Yen output awaiting selectors
+  Step step_;
   std::map<int, LinExpr> node_users_;
   std::map<int, std::pair<Var, Var>> node_traffic_vars_;
   std::map<EdgeKey, double> lq_margin_;  ///< undirected (lo,hi) -> headroom dB
 
-  // ------------------------------------------- incremental-session state
-  // Row-index bookkeeping recorded during the fresh build so extend_to_k
-  // can widen existing constraints in place instead of re-emitting them.
+  // ------------------------------------------------- per-step row maps
+  // Row indices recorded when a row is created, so a later step widens it
+  // in place instead of re-emitting it.
   struct AvoidRow {
-    size_t hardening_index;
     int row;
     bool unsat;  ///< row holds a pinned-zero var: no candidate complied
   };
@@ -1016,362 +1162,41 @@ class Build {
   std::map<std::pair<int, int>, int> group_row_;                 ///< (route, rep) -> eq row
   std::set<std::pair<int, int>> group_unsat_;                    ///< groups with pinned-zero var
   std::map<EdgeKey, int> users_row_;                             ///< e <= sum users rows
-  std::map<std::tuple<int, int, int, int>, int> group_edge_row_; ///< (route,rep,i,j) -> LE row
-  std::map<std::tuple<int, int, int>, int> group_node_row_;      ///< (route,rep,node) -> LE row
+  /// (route,rep,i,j) -> LE row, or -1 when lazy mode omitted it.
+  std::map<std::tuple<int, int, int, int>, int> group_edge_row_;
+  std::map<std::tuple<int, int, int>, int> group_node_row_;      ///< (route,rep,node) -> LE row or -1
   std::map<std::pair<int, int>, std::pair<std::set<int>, int>> cover_data_;  ///< -> (union, h)
   std::map<std::pair<int, int>, int> cover_row_;                 ///< (route, rep) -> GE row
   std::map<int, int> used_ub_row_;                               ///< node -> GE row
   std::map<EdgeKey, int> rss_row_;                               ///< edge -> RSS eq row
   std::map<int, std::pair<int, int>> traffic_rows_;              ///< node -> (tx eq, rx eq)
-  std::vector<EdgeKey> delta_edges_;  ///< edges appended by the last extend_to_k
   std::map<int, Var> q_var_;                                     ///< node -> q objective var
-  std::vector<AvoidRow> avoid_rows_;                             ///< kAvoid hardening rows
-  std::vector<double> new_var_defaults_;  ///< per delta-appended var, id order
+  std::map<size_t, AvoidRow> avoid_rows_;                        ///< hardening -> kAvoid row
   TerminationReason stop_why_ = TerminationReason::kCompleted;  ///< first stop, latched
   long charged_rows_ = 0;  ///< constraint rows already charged to the budget
 };
 
-bool Build::extend_to_k(int new_k) {
-  if (o_.mode != EncoderOptions::PathMode::kApprox) return false;
-  if (new_k < encoded_k_) return false;  // shrinking never deltas
-  if (new_k == encoded_k_) {
-    new_var_defaults_.clear();
-    delta_edges_.clear();
-    return true;
-  }
-  util::Stopwatch clock;
-  // Failed deltas record a span without the trailing "reused" arg — the
-  // caller rebuilds, and the rebuild shows up as its own encode/full span.
-  util::obs::ScopedSpan span("encode/delta", "encode");
-  span.arg("from_k", encoded_k_);
-  span.arg("to_k", new_k);
-  const int prev_candidates = static_cast<int>(p_.candidates.size());
-  const int vars_before = p_.model.num_vars();
-
-  // Phase A: advance the resumable Yen enumerators and replay the
-  // disjoint-disconnect step over the extended batches. No model mutation
-  // happens here, so any `false` return leaves the MILP untouched and the
-  // caller simply rebuilds.
-  std::vector<PendingCandidate> fresh;
-  for (size_t ri = 0; ri < route_states_.size(); ++ri) {
-    RouteState& st = route_states_[ri];
-    const auto& route = s_.routes[ri];
-    const int nrep = std::max(1, route.replicas);
-    const int new_kpr = std::max(1, (new_k + nrep - 1) / nrep);
-    if (new_kpr == st.k_per_rep) continue;  // K grew too little to matter here
-    if (new_kpr < st.k_per_rep) return false;
-    std::vector<graph::EdgeId> banned;  // cumulative bans, recomputed
-    for (int rep = 0; rep < nrep; ++rep) {
-      RepState& rp = st.reps[static_cast<size_t>(rep)];
-      if (rp.banned_before != banned) return false;  // disconnect drift
-      const auto& batch = rp.en->next_batch(new_kpr);
-      std::vector<Path> raw_new(batch.begin() + static_cast<std::ptrdiff_t>(rp.consumed),
-                                batch.end());
-      for (Path& p : hop_filtered(std::move(raw_new), static_cast<int>(ri))) {
-        fresh.push_back({std::move(p), static_cast<int>(ri), rep});
-      }
-      rp.consumed = batch.size();
-      if (o_.disjoint_strategy == EncoderOptions::DisjointStrategy::kNone) continue;
-      if (rep + 1 < nrep) {
-        const auto paths = hop_filtered(batch, static_cast<int>(ri));
-        if (!paths.empty()) {
-          for (graph::EdgeId e : disconnect_edges(paths)) banned.push_back(e);
-          std::sort(banned.begin(), banned.end());
-          banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
-        }
-      }
-    }
-    st.k_per_rep = new_kpr;
-  }
-
-  // Phase A2: a delta must reproduce a fresh encode at new_k exactly.
-  // Structures that a fresh encode would *not* emit anymore (pinned-zero
-  // infeasibility markers, collapsed cover cuts) cannot be retracted from
-  // the model, so their appearance forces a rebuild.
-  for (const auto& pc : fresh) {
-    if (group_unsat_.count({pc.route_index, pc.replica})) return false;
-  }
-  for (const auto& ar : avoid_rows_) {
-    if (!ar.unsat) continue;
-    const auto& hc = o_.hardening[ar.hardening_index];
-    for (const auto& pc : fresh) {
-      if (pc.route_index == hc.route_index && path_avoids(pc.path, hc)) return false;
+void check_route_endpoints(const NetworkTemplate& tmpl, const Specification& spec,
+                           const char* who) {
+  for (const auto& r : spec.routes) {
+    if (r.source < 0 || r.source >= tmpl.num_nodes() || r.dest < 0 ||
+        r.dest >= tmpl.num_nodes()) {
+      throw std::out_of_range(std::string(who) + ": route endpoint outside template");
     }
   }
-  {
-    std::map<std::pair<int, int>, int> fresh_h;
-    for (const auto& pc : fresh) {
-      int relays = 0;
-      for (int v : pc.path.nodes) {
-        if (t_.node(v).kind != NodeKind::kFixed) ++relays;
-      }
-      auto [it, first] = fresh_h.try_emplace({pc.route_index, pc.replica}, relays);
-      if (!first) it->second = std::min(it->second, relays);
-    }
-    for (const auto& [key, h] : fresh_h) {
-      auto row = cover_row_.find(key);
-      if (row != cover_row_.end() && std::min(cover_data_.at(key).second, h) <= 0) return false;
-    }
-  }
-
-  // Phase B: append-only mutation. Every grown constraint relaxes for the
-  // all-off extension of a previous assignment, so a prior incumbent plus
-  // new_var_defaults_ stays feasible (the MIP-start bridge relies on this).
-  std::set<int> new_nodes;
-  std::set<EdgeKey> new_edges;
-  for (const auto& pc : fresh) {
-    for (size_t k = 0; k + 1 < pc.path.nodes.size(); ++k) {
-      const EdgeKey key{pc.path.nodes[k], pc.path.nodes[k + 1]};
-      if (!scope_edges_.count(key)) new_edges.insert(key);
-    }
-    for (int v : pc.path.nodes) {
-      if (!node_in_scope_.count(v)) new_nodes.insert(v);
-    }
-  }
-  node_in_scope_.insert(new_nodes.begin(), new_nodes.end());
-  scope_edges_.insert(new_edges.begin(), new_edges.end());
-
-  for (int v : new_nodes) emit_sizing_node(v);
-
-  std::map<int, LinExpr> new_users;
-  for (const EdgeKey& key : new_edges) {
-    const Var e = edge_var(key.first, key.second);
-    for (const int endpoint : {key.first, key.second}) {
-      if (t_.node(endpoint).kind == NodeKind::kFixed) continue;
-      auto it = used_ub_row_.find(endpoint);
-      if (it != used_ub_row_.end()) {
-        p_.model.add_terms_to_constr(it->second, LinExpr(e));
-      } else {
-        new_users[endpoint] += LinExpr(e);
-      }
-    }
-  }
-  for (auto& [v, users] : new_users) {
-    users -= LinExpr(p_.node_used[static_cast<size_t>(v)]);
-    used_ub_row_[v] = p_.model.add_ge(std::move(users), 0.0, "used_ub_" + t_.node(v).name);
-  }
-
-  for (const EdgeKey& key : new_edges) emit_lq_edge(key, p_.edge_active.at(key));
-
-  const size_t first_new = p_.candidates.size();
-  for (auto& pc : fresh) {
-    const Var y = p_.model.add_binary("y_r" + std::to_string(pc.route_index) + "_rep" +
-                                      std::to_string(pc.replica) + "_" +
-                                      std::to_string(p_.candidates.size()));
-    p_.model.set_branch_priority(y, 3);
-    p_.candidates.push_back({std::move(pc.path), y, pc.route_index, pc.replica});
-  }
-
-  // Widen the group disjunctions and the edge/node linking rows.
-  std::map<std::pair<int, int>, LinExpr> group_delta;
-  std::map<EdgeKey, LinExpr> users_delta;
-  std::map<std::tuple<int, int, int, int>, LinExpr> ge_delta;
-  std::map<std::tuple<int, int, int>, LinExpr> gn_delta;
-  for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-    const auto& c = p_.candidates[ci];
-    group_delta[{c.route_index, c.replica}] += LinExpr(c.selector);
-    for (size_t k = 0; k + 1 < c.path.nodes.size(); ++k) {
-      const EdgeKey key{c.path.nodes[k], c.path.nodes[k + 1]};
-      users_delta[key] += LinExpr(c.selector);
-      ge_delta[{c.route_index, c.replica, key.first, key.second}] += LinExpr(c.selector);
-    }
-    for (int v : c.path.nodes) {
-      if (t_.node(v).kind == NodeKind::kFixed) continue;
-      gn_delta[{c.route_index, c.replica, v}] += LinExpr(c.selector);
-    }
-  }
-  for (const auto& [key, d] : group_delta) p_.model.add_terms_to_constr(group_row_.at(key), d);
-  for (auto& [key, d] : users_delta) {
-    auto it = users_row_.find(key);
-    if (it != users_row_.end()) {
-      p_.model.add_terms_to_constr(it->second, d);
-    } else {
-      d -= LinExpr(p_.edge_active.at(key));
-      users_row_[key] = p_.model.add_ge(std::move(d), 0.0);
-    }
-  }
-  // Lazy mode: the group linking maps are empty by construction (the fresh
-  // encode skipped the family), so the delta skips it identically and only
-  // counts the rows a non-lazy delta would have created.
-  if (o_.lazy_separation) {
-    for (const auto& [key, d] : ge_delta) {
-      if (!group_edge_row_.count(key)) ++p_.stats.lazy_rows_omitted;
-    }
-    for (const auto& [key, d] : gn_delta) {
-      if (!group_node_row_.count(key)) ++p_.stats.lazy_rows_omitted;
-    }
-  } else {
-    for (auto& [key, d] : ge_delta) {
-      auto it = group_edge_row_.find(key);
-      if (it != group_edge_row_.end()) {
-        p_.model.add_terms_to_constr(it->second, d);
-      } else {
-        d -= LinExpr(p_.edge_active.at({std::get<2>(key), std::get<3>(key)}));
-        group_edge_row_[key] = p_.model.add_le(std::move(d), 0.0);
-      }
-    }
-    for (auto& [key, d] : gn_delta) {
-      auto it = group_node_row_.find(key);
-      if (it != group_node_row_.end()) {
-        p_.model.add_terms_to_constr(it->second, d);
-      } else {
-        d -= LinExpr(p_.node_used[static_cast<size_t>(std::get<2>(key))]);
-        group_node_row_[key] = p_.model.add_le(std::move(d), 0.0);
-      }
-    }
-  }
-
-  // Cover cuts: grow the union, lower the minimum.
-  {
-    std::map<std::pair<int, int>, std::pair<std::set<int>, int>> delta_cover;
-    for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-      const auto& c = p_.candidates[ci];
-      auto [it, was_fresh] = delta_cover.try_emplace({c.route_index, c.replica},
-                                                     std::set<int>{}, INT32_MAX);
-      int relays = 0;
-      for (int v : c.path.nodes) {
-        if (t_.node(v).kind == NodeKind::kFixed) continue;
-        it->second.first.insert(v);
-        ++relays;
-      }
-      it->second.second = std::min(it->second.second, relays);
-    }
-    for (const auto& [key, uc] : delta_cover) {
-      auto& data = cover_data_.at(key);  // group had candidates (unsat checked)
-      auto row = cover_row_.find(key);
-      LinExpr grown;
-      bool any_new_node = false;
-      for (int v : uc.first) {
-        if (data.first.insert(v).second) {
-          grown += LinExpr(p_.node_used[static_cast<size_t>(v)]);
-          any_new_node = true;
-        }
-      }
-      const int h_new = std::min(data.second, uc.second);
-      if (row != cover_row_.end()) {
-        if (any_new_node) p_.model.add_terms_to_constr(row->second, grown);
-        if (h_new != data.second) {
-          p_.model.set_constr_rhs(row->second, static_cast<double>(h_new));
-        }
-      }
-      data.second = h_new;
-    }
-  }
-
-  // Cross-replica disjointness for every pair touching a new candidate
-  // (lazy mode: counted, not emitted — same gating as the fresh encode).
-  for (size_t a = first_new; a < p_.candidates.size(); ++a) {
-    for (size_t b = 0; b < a; ++b) {
-      const auto& ca = p_.candidates[a];
-      const auto& cb = p_.candidates[b];
-      if (ca.route_index != cb.route_index || ca.replica == cb.replica) continue;
-      if (graph::shared_edges(ca.path, cb.path) > 0) {
-        if (o_.lazy_separation) {
-          ++p_.stats.lazy_rows_omitted;
-        } else {
-          p_.model.add_le(LinExpr(ca.selector) + LinExpr(cb.selector), 1.0);
-        }
-      }
-    }
-  }
-
-  // Satisfiable kAvoid hardenings gain their new compliant selectors.
-  for (const auto& ar : avoid_rows_) {
-    if (ar.unsat) continue;
-    const auto& hc = o_.hardening[ar.hardening_index];
-    LinExpr add;
-    bool any = false;
-    for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-      const auto& c = p_.candidates[ci];
-      if (c.route_index != hc.route_index || !path_avoids(c.path, hc)) continue;
-      add += LinExpr(c.selector);
-      any = true;
-    }
-    if (any) p_.model.add_terms_to_constr(ar.row, add);
-  }
-
-  // Energy: new candidates add routing mass; nodes gaining traffic for the
-  // first time get their flow variables (and q objective vars) now.
-  if (energy_enabled()) {
-    std::map<int, LinExpr> tx_delta;
-    std::map<int, LinExpr> rx_delta;
-    std::set<int> touched;
-    for (size_t ci = first_new; ci < p_.candidates.size(); ++ci) {
-      const auto& c = p_.candidates[ci];
-      for (int v : c.path.nodes) {
-        if (t_.node(v).role == Role::kSink) continue;
-        const auto [tx_w, rx_w] = candidate_traffic(c.path, v);
-        if (tx_w > 0) tx_delta[v] += tx_w * LinExpr(c.selector);
-        if (rx_w > 0) rx_delta[v] += rx_w * LinExpr(c.selector);
-        if (tx_w > 0 || rx_w > 0) touched.insert(v);
-      }
-    }
-    std::vector<int> gained;
-    for (int v : touched) {
-      auto it = traffic_rows_.find(v);
-      if (it != traffic_rows_.end()) {
-        if (tx_delta.count(v)) p_.model.add_terms_to_constr(it->second.first, tx_delta[v]);
-        if (rx_delta.count(v)) p_.model.add_terms_to_constr(it->second.second, rx_delta[v]);
-      } else {
-        emit_energy_node(v, std::move(tx_delta[v]), std::move(rx_delta[v]));
-        gained.push_back(v);
-      }
-    }
-    if (s_.objective.weight_energy != 0.0) {
-      // A fresh encode emits flow vars even for untouched battery nodes
-      // when energy enters the objective.
-      for (int v : new_nodes) {
-        if (t_.node(v).role == Role::kSink || traffic_rows_.count(v)) continue;
-        emit_energy_node(v, LinExpr(), LinExpr());
-        gained.push_back(v);
-      }
-      for (int v : gained) emit_energy_objective_var(v);
-    }
-  }
-
-  rebuild_objective();
-
-  new_var_defaults_.assign(static_cast<size_t>(p_.model.num_vars() - vars_before), 0.0);
-  // Appended RSS values depend on the previous assignment (a new edge may
-  // attach to an already-deployed node whose mapping binaries are 1), so
-  // extend_assignment derives them from the recorded equality rows.
-  delta_edges_.assign(new_edges.begin(), new_edges.end());
-  encoded_k_ = new_k;
-  refresh_stats();
-  p_.stats.reused_candidates = prev_candidates;
-  p_.stats.delta_encode_time_s = clock.seconds();
-  p_.stats.encode_time_s = clock.seconds();
-  span.arg("reused", prev_candidates);
-  util::obs::TraceRecorder::global().counter_add("encode.reused_candidates", prev_candidates);
-  return true;
-}
-
-void Build::append_avoid_hardenings(size_t first) {
-  util::Stopwatch clock;
-  new_var_defaults_.clear();
-  delta_edges_.clear();
-  for (size_t hi = first; hi < o_.hardening.size(); ++hi) emit_one_hardening(hi);
-  refresh_stats();
-  p_.stats.reused_candidates = static_cast<int>(p_.candidates.size());
-  p_.stats.delta_encode_time_s = clock.seconds();
-  p_.stats.encode_time_s = clock.seconds();
 }
 
 }  // namespace
 
 Encoder::Encoder(const NetworkTemplate& tmpl, const Specification& spec, EncoderOptions opts)
     : tmpl_(&tmpl), spec_(&spec), opts_(opts) {
-  for (const auto& r : spec.routes) {
-    if (r.source < 0 || r.source >= tmpl.num_nodes() || r.dest < 0 ||
-        r.dest >= tmpl.num_nodes()) {
-      throw std::out_of_range("Encoder: route endpoint outside template");
-    }
-  }
+  check_route_endpoints(tmpl, spec, "Encoder");
 }
 
 EncodedProblem Encoder::encode() const {
   Build b(*tmpl_, *spec_, opts_);
-  return b.run();
+  b.encode_to(opts_.k_star);
+  return std::move(b.problem());
 }
 
 struct IncrementalEncoder::Impl {
@@ -1384,7 +1209,7 @@ struct IncrementalEncoder::Impl {
 
   void rebuild() {
     build = std::make_unique<Build>(*tmpl, *spec, opts);
-    build->execute();
+    build->encode_to(opts.k_star);
     dirty = false;
     last_was_delta = false;
   }
@@ -1393,12 +1218,7 @@ struct IncrementalEncoder::Impl {
 IncrementalEncoder::IncrementalEncoder(const NetworkTemplate& tmpl, const Specification& spec,
                                        EncoderOptions base)
     : impl_(std::make_unique<Impl>()) {
-  for (const auto& r : spec.routes) {
-    if (r.source < 0 || r.source >= tmpl.num_nodes() || r.dest < 0 ||
-        r.dest >= tmpl.num_nodes()) {
-      throw std::out_of_range("IncrementalEncoder: route endpoint outside template");
-    }
-  }
+  check_route_endpoints(tmpl, spec, "IncrementalEncoder");
   impl_->tmpl = &tmpl;
   impl_->spec = &spec;
   impl_->opts = std::move(base);
@@ -1408,25 +1228,19 @@ IncrementalEncoder::~IncrementalEncoder() = default;
 
 EncodedProblem& IncrementalEncoder::encode_k(int k) {
   auto& im = *impl_;
-  // Deltas are atomic: a stop observed here leaves the standing model
-  // intact (a half-appended delta would be unusable), marks its stats with
-  // the reason, and returns. The caller sees termination != kCompleted and
-  // reports instead of solving.
-  util::exec::TerminationReason why = util::exec::TerminationReason::kCompleted;
-  if (im.build != nullptr && im.opts.exec.checkpoint(&why)) {
-    im.build->problem().stats.termination = why;
-    im.last_was_delta = false;
-    return im.build->problem();
-  }
   im.opts.k_star = k;  // the live Build reads options through this object
   if (!im.build || im.dirty || im.opts.mode != EncoderOptions::PathMode::kApprox) {
     im.rebuild();
   } else if (k != im.build->encoded_k()) {
-    if (im.build->extend_to_k(k)) {
-      im.last_was_delta = true;
-    } else {
-      im.rebuild();
-    }
+    im.last_was_delta = im.build->encode_to(k);
+    if (!im.last_was_delta) im.rebuild();
+  }
+  // A stopped encode leaves a partial model: the caller sees termination
+  // != kCompleted and reports instead of solving, and the next encode_k
+  // rebuilds rather than extend it.
+  if (im.build->problem().stats.termination != util::exec::TerminationReason::kCompleted) {
+    im.dirty = true;
+    im.last_was_delta = false;
   }
   return im.build->problem();
 }

@@ -80,7 +80,9 @@ struct EncoderOptions {
   /// encoding phases; the per-route Yen workers poll a worker_view() copy
   /// and charge Yen candidates / encode rows against `exec.budget`. On any
   /// stop the encode aborts — remaining phases are skipped and
-  /// EncodeStats::termination records why (see its contract).
+  /// EncodeStats::termination records why (see its contract). An
+  /// IncrementalEncoder delta runs the same gates, charging only the
+  /// candidates and rows it appends.
   util::exec::ExecControl exec;
 
   /// Worker threads for candidate generation: the per-route Yen batches are
@@ -118,16 +120,22 @@ class Encoder {
 /// YenEnumerator per (route, replica) and *appends* to the existing model:
 /// new candidate selector binaries, their linking rows, and the widened
 /// group disjunctions when K* grows (`encode_k`), or new hardening rows in
-/// the repair loop (`append_hardenings`).
+/// the repair loop (`append_hardenings`). A fresh approximate encode is the
+/// same append step run from an empty model, so a delta emits through the
+/// same code, and polls the same deadline/cancel/budget gates, as a fresh
+/// encode.
 ///
 /// Determinism contract: the delta-extended model is equivalent to a fresh
-/// encode at the same options — same variable/constraint/nonzero counts and
-/// the same optimum (variable order, and hence names, may differ; tests pin
-/// the equivalence). Whenever a change cannot be expressed as a pure append
-/// (kMargin hardenings retune the LQ prefilter, replica raises change the
-/// spec, the disjoint-disconnect step shifts a replica's base graph), the
-/// session transparently falls back to a full rebuild, so callers never
-/// need to reason about which case they are in.
+/// encode at the same options — the same rows, variables and objective up
+/// to order and naming, and the same optimum (variable order, and hence
+/// names, may differ; tests pin the equivalence). Whenever a change cannot
+/// be expressed as a pure append (kMargin hardenings retune the LQ
+/// prefilter, replica raises change the spec, the disjoint-disconnect step
+/// shifts a replica's base graph), the session transparently falls back to
+/// a full rebuild, so callers never need to reason about which case they
+/// are in. A delta stopped by its control leaves stats.termination set and
+/// the session marked for a rebuild on the next encode_k: a half-appended
+/// model is never extended.
 class IncrementalEncoder {
  public:
   /// The session keeps references to `tmpl` and `spec`: both must outlive

@@ -56,7 +56,7 @@ class Explorer {
                                           const milp::SolveOptions& sopts = {}) const;
 
   /// Encode-only entry point: the compiled problem without solving it. The
-  /// meta layer (tabu search, portfolio, sensitivity) encodes once and then
+  /// meta layer (tabu search, portfolio) encodes once and then
   /// runs many solves against the same EncodedProblem.
   [[nodiscard]] EncodedProblem encode(const EncoderOptions& eopts = {}) const;
 

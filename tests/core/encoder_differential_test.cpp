@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -14,8 +15,10 @@
 #include "channel/propagation.h"
 #include "core/encode/encoder.h"
 #include "core/explorer.h"
+#include "core/model_multisets.h"
 #include "graph/digraph.h"
 #include "milp/solver.h"
+#include "util/exec/exec.h"
 
 namespace wnet::archex {
 namespace {
@@ -136,11 +139,13 @@ void expect_same_shape(const EncodedProblem& inc, const EncodedProblem& fresh,
   EXPECT_EQ(inc.stats.num_constrs, fresh.stats.num_constrs) << label;
   EXPECT_EQ(inc.stats.nonzeros, fresh.stats.nonzeros) << label;
   EXPECT_EQ(inc.candidates.size(), fresh.candidates.size()) << label;
+  expect_same_multisets(inc.model, fresh.model, label);
 }
 
 // The IncrementalEncoder contract: delta-extending a session across K*
 // rungs yields a model equivalent to a fresh encode at the same options —
-// same variable/constraint/nonzero counts and the same optimum — while
+// the same rows, variables and objective up to order and naming, and the
+// same optimum — while
 // actually reusing candidates, and the all-off extension of a previous
 // rung's incumbent stays feasible (the MIP-start bridge).
 TEST(EncoderDifferential, IncrementalSessionMatchesFreshAcrossLadder) {
@@ -240,6 +245,34 @@ TEST(EncoderDifferential, IncrementalHardeningAppendsMatchFresh) {
     expect_same_optimum(ep, fresh, "after kMargin rebuild");
     EXPECT_EQ(ep.stats.reused_candidates, 0) << "kMargin must force a rebuild";
   }
+}
+
+// A delta runs under the control the session holds when it starts: a
+// Yen-candidate cap below what the rung needs stops it with kNodeLimit, as
+// it would stop a fresh encode, and the half-appended model is never
+// extended again — the next encode_k rebuilds and matches a fresh encode.
+TEST(EncoderDifferential, DeltaHonoursTheRequestControl) {
+  Instance in(7);
+  in.spec.objective = {1.0, 0.02, 0.0};
+  const EncoderOptions base;
+  IncrementalEncoder session(in.tmpl, in.spec, base);
+  ASSERT_EQ(session.encode_k(1).stats.termination, util::exec::TerminationReason::kCompleted);
+
+  EncoderOptions fopts = base;
+  fopts.k_star = 9;
+  const auto fresh = Encoder(in.tmpl, in.spec, fopts).encode();
+  ASSERT_GT(fresh.candidates.size(), 3u) << "the rung must need more than the cap allows";
+
+  util::exec::ExecControl capped;
+  capped.budget = std::make_shared<util::exec::ResourceBudget>(-1, 1, -1);
+  session.set_exec(capped);
+  EXPECT_EQ(session.encode_k(9).stats.termination, util::exec::TerminationReason::kNodeLimit);
+
+  session.set_exec(util::exec::ExecControl{});
+  auto& ep = session.encode_k(9);
+  EXPECT_EQ(ep.stats.termination, util::exec::TerminationReason::kCompleted);
+  expect_same_shape(ep, fresh, "after the capped delta");
+  expect_same_optimum(ep, fresh, "after the capped delta");
 }
 
 }  // namespace
